@@ -1,0 +1,96 @@
+//! ML-substrate microbenches: surrogate training/inference, ensemble
+//! parallelism, pair-potential fitting, PES force evaluation, MD
+//! stepping — the real computations the campaigns run inside task
+//! closures.
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hetflow_chem::{
+    pretraining_set, run_md, solvated_methane, EnergyModel, MdParams, MoleculeLibrary, MorsePes,
+};
+use hetflow_ml::{
+    Ensemble, LabelledStructure, PairPotParams, PairPotential, RadialBasis, RffRidge,
+    SurrogateParams,
+};
+use hetflow_sim::SimRng;
+
+fn bench_surrogate(c: &mut Criterion) {
+    let lib = MoleculeLibrary::generate(4000, 1);
+    let inputs: Vec<Vec<f64>> = (0..400).map(|i| lib.features(i).to_vec()).collect();
+    let targets: Vec<f64> = (0..400).map(|i| lib.true_ip(i)).collect();
+    c.bench_function("ml/rff_ridge_fit_400", |b| {
+        b.iter(|| {
+            let mut rng = SimRng::from_seed(2);
+            RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut rng).unwrap()
+        });
+    });
+    let mut rng = SimRng::from_seed(2);
+    let model = RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut rng).unwrap();
+    c.bench_function("ml/rff_predict_4000", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for i in 0..lib.len() {
+                acc += model.predict(&lib.features(i));
+            }
+            acc
+        });
+    });
+}
+
+fn bench_ensemble_parallelism(c: &mut Criterion) {
+    let lib = MoleculeLibrary::generate(2000, 3);
+    let inputs: Vec<Vec<f64>> = (0..600).map(|i| lib.features(i).to_vec()).collect();
+    let targets: Vec<f64> = (0..600).map(|i| lib.true_ip(i)).collect();
+    let train = |_i: usize, mut rng: SimRng| {
+        RffRidge::fit(&inputs, &targets, SurrogateParams::default(), &mut rng).unwrap()
+    };
+    let mut g = c.benchmark_group("ml/ensemble8_fit");
+    g.sample_size(10);
+    let rng = SimRng::from_seed(4);
+    g.bench_function("sequential", |b| b.iter(|| Ensemble::fit(8, &rng, train)));
+    g.bench_function("parallel", |b| b.iter(|| Ensemble::fit_parallel(8, &rng, train)));
+    g.finish();
+}
+
+fn bench_pairpot(c: &mut Criterion) {
+    let pes = MorsePes::approx();
+    let data: Vec<LabelledStructure> = pretraining_set(60, 5)
+        .iter()
+        .map(|s| LabelledStructure::from_model(s, &pes, true))
+        .collect();
+    c.bench_function("ml/pairpot_fit_60f", |b| {
+        b.iter(|| {
+            PairPotential::fit(&data, RadialBasis::default_for_clusters(), PairPotParams::default())
+                .unwrap()
+        });
+    });
+}
+
+fn bench_forces_and_md(c: &mut Criterion) {
+    let s = solvated_methane(1);
+    let pes = MorsePes::reference();
+    c.bench_function("chem/pes_energy_forces_16atoms", |b| {
+        b.iter(|| pes.energy_forces(&s));
+    });
+    let mut g = c.benchmark_group("chem/md_steps");
+    for &steps in &[20usize, 200] {
+        g.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, &steps| {
+            b.iter(|| {
+                let mut rng = SimRng::from_seed(6);
+                run_md(
+                    &pes,
+                    &s,
+                    MdParams { dt: 0.005, steps, init_temp: 0.1, sample_every: steps },
+                    &mut rng,
+                )
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group! {
+    name = benches;
+    config = Criterion::default().sample_size(10);
+    targets = bench_surrogate, bench_ensemble_parallelism, bench_pairpot, bench_forces_and_md
+}
+criterion_main!(benches);

@@ -1,0 +1,118 @@
+//! Figure 6 (+ §V-E1 in-text statistics): the molecular-design campaign
+//! across the three workflow configurations, three seeds each.
+//!
+//! (a) molecules with IP above threshold found vs simulation node-time;
+//! (b) median ML makespan (paper: FnX+Globus 1565 s < Parsl+Redis
+//! 1676 s < Parsl 1828 s) and median CPU idle time between simulations
+//! (paper: ~500 ms FnX, ~100 ms Parsl+Redis; both small enough for over
+//! 99 % utilization). In-text: FnX+Globus and Parsl+Redis find
+//! statistically indistinguishable molecule counts (145.0 vs 140.3, run
+//! spread 129–149).
+
+use hetflow_apps::moldesign::{self, MolDesignParams};
+use hetflow_core::{deploy, DeploymentSpec, WorkflowConfig};
+use hetflow_sim::{Samples, Sim, Tracer};
+use std::time::Duration;
+
+const SEEDS: [u64; 3] = [7, 8, 9];
+
+fn main() {
+    let base = MolDesignParams {
+        library_size: 10_000,
+        budget: Duration::from_secs(6 * 3600),
+        ..Default::default()
+    };
+    println!(
+        "=== Fig. 6: molecular design, {} candidates, 6 node-hours, {} seeds/config ===\n",
+        base.library_size,
+        SEEDS.len()
+    );
+
+    let mut summary = Vec::new();
+    for config in WorkflowConfig::all() {
+        let mut found = Samples::new();
+        let mut makespans = Samples::new();
+        let mut idles = Samples::new();
+        let mut curves = Vec::new();
+        for seed in SEEDS {
+            let sim = Sim::new();
+            let spec = DeploymentSpec { seed, ..Default::default() };
+            let deployment = deploy(&sim, config, &spec, Tracer::disabled());
+            let params = MolDesignParams { seed, ..base.clone() };
+            let outcome = moldesign::run(&sim, &deployment, params);
+            found.record(outcome.found as f64);
+            makespans.extend_from(&outcome.ml_makespans);
+            idles.extend_from(&outcome.cpu_idle);
+            curves.push(outcome.found_curve);
+        }
+
+        // (a) found-vs-node-time curve, averaged over seeds, printed on
+        // a coarse grid.
+        println!("--- {} : found vs node-hours (mean of seeds) ---", config.label());
+        print!("  node-h:");
+        for h in 1..=6 {
+            print!(" {h:>6}");
+        }
+        println!();
+        print!("  found :");
+        for h in 1..=6 {
+            let t = (h * 3600) as f64;
+            let mean: f64 = curves
+                .iter()
+                .map(|c| {
+                    c.iter().take_while(|&&(x, _)| x <= t).last().map(|&(_, f)| f).unwrap_or(0)
+                        as f64
+                })
+                .sum::<f64>()
+                / curves.len() as f64;
+            print!(" {mean:>6.1}");
+        }
+        println!("\n");
+        summary.push((config, found, makespans, idles));
+    }
+
+    // (b) table.
+    println!(
+        "{:<12} {:>14} {:>16} {:>14} {:>12}",
+        "config", "found (mean)", "found (min-max)", "ml-makespan", "cpu-idle"
+    );
+    for (config, found, makespans, idles) in &summary {
+        println!(
+            "{:<12} {:>14.1} {:>9.0}-{:<6.0} {:>11.0} s {:>9.0} ms",
+            config.label(),
+            found.mean(),
+            found.min(),
+            found.max(),
+            makespans.median(),
+            idles.median() * 1e3,
+        );
+    }
+
+    println!("\n--- shape checks vs paper ---");
+    let get = |c: WorkflowConfig| summary.iter().find(|(cc, ..)| *cc == c).unwrap();
+    let (_, f_fnx, m_fnx, i_fnx) = get(WorkflowConfig::FnXGlobus);
+    let (_, f_red, m_red, i_red) = get(WorkflowConfig::ParslRedis);
+    let (_, _f_par, m_par, _) = get(WorkflowConfig::Parsl);
+    println!(
+        "ml makespan ordering: fnx {:.0} <= parsl+redis {:.0} <= parsl {:.0} (paper: 1565/1676/1828)",
+        m_fnx.median(),
+        m_red.median(),
+        m_par.median()
+    );
+    println!(
+        "scientific parity: fnx found {:.1} vs parsl+redis {:.1}, overlap of ranges {}-{} / {}-{}",
+        f_fnx.mean(),
+        f_red.mean(),
+        f_fnx.min(),
+        f_fnx.max(),
+        f_red.min(),
+        f_red.max()
+    );
+    println!(
+        "cpu idle: fnx {:.0} ms vs parsl+redis {:.0} ms (paper: ~500 vs ~100 ms, both <1% of 60 s tasks)",
+        i_fnx.median() * 1e3,
+        i_red.median() * 1e3
+    );
+    let util = 1.0 - i_fnx.median() / (60.0 + i_fnx.median());
+    println!("implied fnx CPU utilization: {:.1}% (paper: >99%)", 100.0 * util);
+}

@@ -1,0 +1,225 @@
+//! Two-fidelity synthetic potential-energy surface with analytic forces.
+//!
+//! Stands in for the TTM (cheap, approximate) and DFT/PBE0 (expensive,
+//! accurate) levels of theory in §III-B. Both levels are sums of Morse
+//! pair potentials; the "DFT" level adds a second, shifted Morse term so
+//! the *difference* between levels is smooth and learnable — exactly the
+//! property that makes fine-tuning on a few DFT calculations work in the
+//! paper's application.
+
+use crate::clusters::{Structure, Vec3};
+
+/// A force/energy provider over structures.
+///
+/// Implemented by physical surfaces here and by ML surrogates in
+/// `hetflow-ml`, so molecular dynamics can run on either.
+pub trait EnergyModel {
+    /// Total energy and per-atom forces of `s`.
+    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>);
+
+    /// Energy only (default: discard forces).
+    fn energy(&self, s: &Structure) -> f64 {
+        self.energy_forces(s).0
+    }
+}
+
+/// One Morse term: `D (1 - exp(-a (r - r0)))^2 - D`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MorseTerm {
+    /// Well depth.
+    pub d: f64,
+    /// Stiffness.
+    pub a: f64,
+    /// Equilibrium distance.
+    pub r0: f64,
+}
+
+impl MorseTerm {
+    /// Energy at separation `r`.
+    pub fn energy(&self, r: f64) -> f64 {
+        let e = 1.0 - (-self.a * (r - self.r0)).exp();
+        self.d * e * e - self.d
+    }
+
+    /// dE/dr at separation `r`.
+    pub fn denergy(&self, r: f64) -> f64 {
+        let x = (-self.a * (r - self.r0)).exp();
+        2.0 * self.d * (1.0 - x) * self.a * x
+    }
+}
+
+/// A pair potential: a sum of Morse terms over all atom pairs, with a
+/// *shifted-force* cutoff so both energy and force are continuous at the
+/// cutoff (pairs drifting across it would otherwise inject energy and
+/// break NVE conservation).
+#[derive(Clone, Debug, PartialEq)]
+pub struct MorsePes {
+    terms: Vec<MorseTerm>,
+    /// Interaction cutoff; pairs beyond it contribute nothing.
+    pub cutoff: f64,
+    /// Σ term energies at the cutoff (shift constant).
+    e_cut: f64,
+    /// Σ term dE/dr at the cutoff (force-shift constant).
+    de_cut: f64,
+}
+
+impl MorsePes {
+    /// Builds a surface from Morse terms.
+    pub fn new(terms: Vec<MorseTerm>, cutoff: f64) -> Self {
+        assert!(!terms.is_empty());
+        let e_cut = terms.iter().map(|t| t.energy(cutoff)).sum();
+        let de_cut = terms.iter().map(|t| t.denergy(cutoff)).sum();
+        MorsePes { terms, cutoff, e_cut, de_cut }
+    }
+
+    /// The cheap approximate level ("TTM-like"): a single Morse well.
+    pub fn approx() -> Self {
+        MorsePes::new(vec![MorseTerm { d: 1.0, a: 2.0, r0: 1.12 }], 3.0)
+    }
+
+    /// The reference level ("DFT-like"): the approximate well plus a
+    /// smooth correction term (slightly shifted equilibrium, softer
+    /// tail). The correction is what fine-tuning must learn.
+    pub fn reference() -> Self {
+        MorsePes::new(
+            vec![
+                MorseTerm { d: 1.0, a: 2.0, r0: 1.12 },
+                MorseTerm { d: 0.22, a: 1.1, r0: 1.55 },
+            ],
+            3.0,
+        )
+    }
+}
+
+impl EnergyModel for MorsePes {
+    fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
+        let mut energy = 0.0;
+        let mut forces = vec![[0.0; 3]; s.n_atoms()];
+        for (i, j, dvec, r) in s.pairs() {
+            if r > self.cutoff {
+                continue;
+            }
+            let mut e_pair = 0.0;
+            let mut de = 0.0;
+            for t in &self.terms {
+                e_pair += t.energy(r);
+                de += t.denergy(r);
+            }
+            // Shifted-force correction: continuous E and dE/dr at rc.
+            energy += e_pair - self.e_cut - (r - self.cutoff) * self.de_cut;
+            de -= self.de_cut;
+            // F_i = -dE/dr * (r_i - r_j)/r ; F_j = -F_i
+            let scale = -de / r;
+            for k in 0..3 {
+                forces[i][k] += scale * dvec[k];
+                forces[j][k] -= scale * dvec[k];
+            }
+        }
+        (energy, forces)
+    }
+}
+
+/// Numerically differentiates any [`EnergyModel`] (central differences);
+/// used in tests and as a reference for surrogate force errors.
+pub fn numerical_forces<M: EnergyModel>(model: &M, s: &Structure, h: f64) -> Vec<Vec3> {
+    let mut forces = vec![[0.0; 3]; s.n_atoms()];
+    let mut work = s.clone();
+    for i in 0..s.n_atoms() {
+        for k in 0..3 {
+            let orig = work.positions[i][k];
+            work.positions[i][k] = orig + h;
+            let ep = model.energy(&work);
+            work.positions[i][k] = orig - h;
+            let em = model.energy(&work);
+            work.positions[i][k] = orig;
+            forces[i][k] = -(ep - em) / (2.0 * h);
+        }
+    }
+    forces
+}
+
+/// Root-mean-square deviation between two force sets (the Fig. 7a
+/// metric, "RMSD in predicted forces").
+pub fn force_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    let n = (a.len() * 3) as f64;
+    let ss: f64 = a
+        .iter()
+        .zip(b)
+        .map(|(fa, fb)| {
+            (fa[0] - fb[0]).powi(2) + (fa[1] - fb[1]).powi(2) + (fa[2] - fb[2]).powi(2)
+        })
+        .sum();
+    (ss / n).sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clusters::solvated_methane;
+
+    #[test]
+    fn morse_minimum_at_r0() {
+        let t = MorseTerm { d: 1.0, a: 2.0, r0: 1.12 };
+        assert!((t.energy(1.12) - (-1.0)).abs() < 1e-12);
+        assert!(t.denergy(1.12).abs() < 1e-12);
+        assert!(t.energy(1.0) > t.energy(1.12));
+        assert!(t.energy(1.3) > t.energy(1.12));
+    }
+
+    #[test]
+    fn analytic_forces_match_numerical() {
+        let s = solvated_methane(3);
+        for pes in [MorsePes::approx(), MorsePes::reference()] {
+            let (_, analytic) = pes.energy_forces(&s);
+            let numeric = numerical_forces(&pes, &s, 1e-6);
+            let err = force_rmsd(&analytic, &numeric);
+            assert!(err < 1e-6, "force error {err}");
+        }
+    }
+
+    #[test]
+    fn forces_sum_to_zero() {
+        // Pair potentials conserve momentum: net force vanishes.
+        let s = solvated_methane(4);
+        let (_, forces) = MorsePes::reference().energy_forces(&s);
+        for k in 0..3 {
+            let net: f64 = forces.iter().map(|f| f[k]).sum();
+            assert!(net.abs() < 1e-10, "net force component {net}");
+        }
+    }
+
+    #[test]
+    fn reference_differs_smoothly_from_approx() {
+        let approx = MorsePes::approx();
+        let refr = MorsePes::reference();
+        let mut diffs = Vec::new();
+        for seed in 0..10 {
+            let s = solvated_methane(seed);
+            diffs.push(refr.energy(&s) - approx.energy(&s));
+        }
+        // The correction is nonzero...
+        assert!(diffs.iter().any(|d| d.abs() > 1e-3));
+        // ...and consistently signed/structured (attractive tail), not
+        // random noise.
+        let mean = diffs.iter().sum::<f64>() / diffs.len() as f64;
+        assert!(mean.abs() > 0.01, "correction should be systematic, mean {mean}");
+    }
+
+    #[test]
+    fn cutoff_excludes_far_pairs() {
+        let s = Structure::new(vec![[0.0; 3], [10.0, 0.0, 0.0]]);
+        let pes = MorsePes::approx();
+        let (e, f) = pes.energy_forces(&s);
+        assert_eq!(e, 0.0);
+        assert!(f.iter().all(|v| *v == [0.0; 3]));
+    }
+
+    #[test]
+    fn force_rmsd_basics() {
+        let a = vec![[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]];
+        let b = vec![[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]];
+        assert!((force_rmsd(&a, &a)).abs() < 1e-15);
+        assert!((force_rmsd(&a, &b) - (1.0f64 / 6.0).sqrt()).abs() < 1e-12);
+    }
+}

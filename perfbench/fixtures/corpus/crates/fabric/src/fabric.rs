@@ -1,0 +1,29 @@
+//! The common fabric interface.
+
+use crate::task::TaskSpec;
+use std::future::Future;
+use std::pin::Pin;
+
+/// A compute fabric: something that accepts task submissions and
+/// eventually delivers [`crate::task::TaskResult`]s on the result
+/// channel supplied at construction.
+///
+/// `submit` returns a future whose completion marks the end of the
+/// *client-side* submission cost (the HTTPS call for FnX, the
+/// interchange hop + payload serialization for HTEX); the task then
+/// travels and executes asynchronously.
+pub trait Fabric {
+    /// Submits a task; awaiting pays the client-side dispatch cost.
+    fn submit(&self, task: TaskSpec) -> Pin<Box<dyn Future<Output = ()> + '_>>;
+
+    /// Short fabric label used in reports (`"fnx"`, `"htex"`).
+    fn label(&self) -> &'static str;
+
+    /// The fabric's backpressure gate, when any topic has watermarks
+    /// configured ([`crate::AdmissionConfig`]'s sibling
+    /// `BackpressureConfig`). `None` — the default — means submissions
+    /// are never gated and upstream clients skip the acquire entirely.
+    fn backpressure(&self) -> Option<crate::reliability::overload::BackpressureGate> {
+        None
+    }
+}

@@ -1,0 +1,1221 @@
+//! Endpoint health tracking, circuit breaking, and failover dispatch —
+//! the *active* half of the robustness story.
+//!
+//! The cloud services give the fabrics passive robustness (§IV-A3:
+//! tasks are held while an endpoint is offline), but nothing in funcX
+//! or Colmena *reacts* to an unhealthy resource: a task routed to a
+//! dark endpoint waits out the outage and a straggling worker stalls
+//! the campaign. [`ReliabilityLayer`] adds the reaction. Per endpoint
+//! it folds heartbeat gaps (connectivity watchers), consecutive
+//! failures, and tail-latency violations into an open/half-open/closed
+//! circuit breaker; the dispatch path consults the breakers to steer
+//! tasks to healthy endpoints, re-issues straggling tasks elsewhere
+//! after a quantile-based hedge delay, and re-routes delivery timeouts
+//! instead of failing them — while guaranteeing the thinker sees
+//! **exactly one** terminal outcome per task id: the first result wins
+//! and every losing copy is cancelled and accounted as waste.
+//!
+//! All decisions are RNG-free functions of observed simulation events,
+//! so enabling the layer keeps same-seed runs digest-stable, and the
+//! all-zero [`ReliabilityPolicy`] disables every mechanism without
+//! perturbing existing traces (the `RetryPolicy` zero-defers
+//! convention).
+
+use crate::reliability::Connectivity;
+use crate::task::{TaskId, TaskSpec};
+use hetflow_sim::{trace_kinds as kinds, Samples, Sim, SimTime, Symbol, SymbolMap, Tracer};
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::time::Duration;
+
+/// Cool-down applied when a breaker opens and the policy leaves
+/// `open_for` at zero.
+const DEFAULT_OPEN_FOR: Duration = Duration::from_secs(60);
+/// Successes required to close a half-open breaker when the policy
+/// leaves `close_after` at zero.
+const DEFAULT_CLOSE_AFTER: u32 = 1;
+/// Hedge-delay sample floor when the policy leaves `min_samples` at
+/// zero.
+const DEFAULT_MIN_SAMPLES: usize = 8;
+
+/// Per-topic circuit-breaker tuning. Zero values defer, matching
+/// [`crate::reliability::RetryPolicy`]: the all-zero default disables
+/// the breaker entirely and draws no entropy, leaving existing
+/// same-seed traces bit-identical.
+#[derive(Clone, Debug, Default)]
+pub struct BreakerConfig {
+    /// Consecutive failures observed at an endpoint before its breaker
+    /// opens. `0` disables circuit breaking for this topic.
+    pub failure_threshold: u32,
+    /// How long an open breaker rejects dispatches before admitting a
+    /// half-open probe. `0` defers to 60 s.
+    pub open_for: Duration,
+    /// Probe successes required to close a half-open breaker. `0`
+    /// defers to 1.
+    pub close_after: u32,
+    /// Heartbeat grace: when the endpoint's connection stays offline
+    /// longer than this, the breaker trips without waiting for task
+    /// failures. `0` disables the connectivity watcher.
+    pub offline_grace: Duration,
+    /// Tail-latency SLO: a *successful* round trip slower than this
+    /// still counts as a failure signal for the breaker (the endpoint
+    /// is technically up but too slow to be useful). `0` disables
+    /// latency-based tripping.
+    pub latency_slo: Duration,
+}
+
+impl BreakerConfig {
+    /// True when circuit breaking is enabled for this topic.
+    pub fn enabled(&self) -> bool {
+        self.failure_threshold > 0
+    }
+
+    fn open_for(&self) -> Duration {
+        if self.open_for.is_zero() {
+            DEFAULT_OPEN_FOR
+        } else {
+            self.open_for
+        }
+    }
+
+    fn close_after(&self) -> u32 {
+        self.close_after.max(DEFAULT_CLOSE_AFTER)
+    }
+}
+
+/// Hedged-dispatch tuning for stragglers. Zero values defer; the
+/// all-zero default disables hedging.
+#[derive(Clone, Debug, Default)]
+pub struct HedgeConfig {
+    /// Round-trip-latency quantile after which a straggling task is
+    /// re-issued (e.g. `0.95`). `0.0` disables hedging.
+    pub quantile: f64,
+    /// Multiplier on the quantile delay. `0.0` defers to 1.0.
+    pub factor: f64,
+    /// Observed round trips required before the quantile estimate is
+    /// trusted. `0` defers to 8.
+    pub min_samples: usize,
+    /// Maximum speculative copies issued per task. `0` defers to 1.
+    pub max_hedges: u32,
+}
+
+impl HedgeConfig {
+    /// True when hedged dispatch is enabled for this topic.
+    pub fn enabled(&self) -> bool {
+        self.quantile > 0.0
+    }
+
+    fn min_samples(&self) -> usize {
+        if self.min_samples == 0 {
+            DEFAULT_MIN_SAMPLES
+        } else {
+            self.min_samples
+        }
+    }
+
+    fn max_hedges(&self) -> u32 {
+        self.max_hedges.max(1)
+    }
+}
+
+/// The full reliability policy for one topic.
+#[derive(Clone, Debug, Default)]
+pub struct ReliabilityPolicy {
+    /// Circuit-breaker tuning.
+    pub breaker: BreakerConfig,
+    /// Hedged-dispatch tuning.
+    pub hedge: HedgeConfig,
+    /// Delivery timeouts re-dispatch to another endpoint up to this
+    /// many times before failing the task. `0` keeps the pre-reliability
+    /// behavior: a delivery timeout fails the task immediately.
+    pub max_reroutes: u32,
+    /// Hard round-trip deadline measured from dispatch: a task with no
+    /// terminal outcome after this long is failed by the fabric, even
+    /// if copies are still stuck in flight (they are cancelled on
+    /// arrival). The backstop that makes "exactly one terminal outcome
+    /// per task" hold under arbitrary chaos. `Duration::ZERO` disables
+    /// it.
+    pub deadline: Duration,
+    /// Admission control (token-bucket rate + in-flight cap) applied
+    /// before the task enters the fabric. All-zero disables it.
+    pub admission: crate::reliability::overload::AdmissionConfig,
+    /// Backpressure watermarks on in-fabric depth for this topic. A
+    /// zero high watermark disables the gate.
+    pub backpressure: crate::reliability::overload::BackpressureConfig,
+}
+
+impl ReliabilityPolicy {
+    /// True when any active mechanism is configured — used by the
+    /// fabrics to decide whether a task spec must be retained for
+    /// possible re-issue.
+    fn needs_copy(&self) -> bool {
+        self.hedge.enabled() || self.max_reroutes > 0
+    }
+}
+
+/// Per-topic reliability policies with a fallback default, mirroring
+/// [`crate::reliability::RetryPolicies`]. The endpoint-level
+/// connectivity watchers are governed by the `default` policy's
+/// breaker config (an endpoint serves many topics; its heartbeat is
+/// topic-agnostic).
+#[derive(Clone, Debug, Default)]
+pub struct ReliabilityPolicies {
+    /// Policy for topics without a dedicated entry.
+    pub default: ReliabilityPolicy,
+    /// Topic-specific overrides. Indexed by interned [`Symbol`] id —
+    /// O(1) per dispatch-path lookup — while iterating in
+    /// resolved-string order, so traces match the old
+    /// `BTreeMap<String, _>` exactly.
+    pub per_topic: SymbolMap<ReliabilityPolicy>,
+}
+
+impl ReliabilityPolicies {
+    /// Builder: sets the policy for one topic.
+    pub fn with_topic(mut self, topic: impl Into<Symbol>, policy: ReliabilityPolicy) -> Self {
+        self.per_topic.insert(topic.into(), policy);
+        self
+    }
+
+    /// The policy governing `topic`.
+    pub fn policy_for(&self, topic: impl Into<Symbol>) -> &ReliabilityPolicy {
+        self.per_topic.get(topic.into()).unwrap_or(&self.default)
+    }
+}
+
+/// Circuit-breaker state of one endpoint.
+#[derive(Clone, Debug, PartialEq)]
+enum Gate {
+    /// Healthy: dispatches flow.
+    Closed,
+    /// Tripped: dispatches steer away until the cool-down elapses.
+    Open {
+        /// When the breaker becomes eligible for a half-open probe.
+        until: SimTime,
+    },
+    /// Cooling down: a single probe task is admitted; its outcome
+    /// decides whether the breaker closes or re-opens.
+    HalfOpen {
+        /// The probe currently in flight, if any.
+        probe: Option<TaskId>,
+        /// Successes observed since entering half-open.
+        successes: u32,
+    },
+}
+
+struct EndpointHealth {
+    gate: RefCell<Gate>,
+    /// Consecutive failures since the last success.
+    consecutive: Cell<u32>,
+    /// Trip generation: increments on every open, and is the payload
+    /// of the `breaker_opened`/`breaker_closed` trace events.
+    generation: Cell<u64>,
+}
+
+impl EndpointHealth {
+    fn new() -> Self {
+        EndpointHealth {
+            gate: RefCell::new(Gate::Closed),
+            consecutive: Cell::new(0),
+            generation: Cell::new(0),
+        }
+    }
+}
+
+/// One tracked task: how many copies are in flight and whether a
+/// terminal outcome has already been delivered.
+struct Inflight {
+    /// Retained spec for hedge/reroute re-issue (`None` when the
+    /// topic's policy never re-issues).
+    spec: Option<TaskSpec>,
+    /// Copies currently somewhere between dispatch and result.
+    live: u32,
+    /// Speculative copies issued so far.
+    hedges: u32,
+    /// Timeout-driven re-dispatches so far.
+    reroutes: u32,
+    /// A terminal outcome has been delivered; every later copy is
+    /// cancelled on arrival.
+    done: bool,
+    /// When the task was first dispatched (round-trip baseline).
+    dispatched: SimTime,
+}
+
+/// What the fabric should do with a result arriving from an endpoint.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// First terminal outcome for this id: deliver it to the thinker,
+    /// stamped with how many hedges/reroutes the task needed.
+    Deliver {
+        /// Speculative copies issued for this task.
+        hedges: u32,
+        /// Timeout-driven re-dispatches for this task.
+        reroutes: u32,
+    },
+    /// A losing duplicate (or a failure while a sibling copy is still
+    /// live): drop it; it has been accounted as cancelled waste.
+    Suppress,
+}
+
+/// What the fabric should do when a delivery attempt times out.
+#[derive(Debug)]
+pub enum TimeoutVerdict {
+    /// Re-dispatch the task to endpoint `to`.
+    Reroute {
+        /// A fresh copy of the task to deliver.
+        spec: Box<TaskSpec>,
+        /// The endpoint chosen for the re-dispatch.
+        to: usize,
+    },
+    /// No copies left and no reroutes allowed: fail the task with
+    /// `TaskError::Timeout` (the pre-reliability behavior).
+    Fail,
+    /// Another copy is still in flight (or the task already finished):
+    /// swallow this timeout silently.
+    Suppress,
+}
+
+struct LayerInner {
+    sim: Sim,
+    tracer: Tracer,
+    /// Fabric label for trace actors (`"fnx"` / `"htex"`).
+    label: &'static str,
+    /// Pre-interned `"<label>/health"` trace actor.
+    actor: Symbol,
+    policies: ReliabilityPolicies,
+    /// Topic → candidate endpoints, primary first. Symbol-indexed:
+    /// the per-dispatch lookup is an array index, not a string-compare
+    /// tree walk.
+    route: SymbolMap<Vec<usize>>,
+    endpoints: Vec<EndpointHealth>,
+    inflight: RefCell<BTreeMap<TaskId, Inflight>>,
+    /// Per-topic round-trip latency samples feeding hedge delays.
+    rtt: RefCell<SymbolMap<Samples>>,
+    /// Seconds burned by cancelled losing copies.
+    wasted: Cell<f64>,
+    cancelled: Cell<u64>,
+    hedged: Cell<u64>,
+    rerouted: Cell<u64>,
+    /// Observers of breaker transitions (`endpoint`, `open`): lets the
+    /// steering layer's resource allocator see breaker state.
+    observers: RefCell<Vec<BreakerObserver>>,
+}
+
+/// Callback invoked on every breaker transition: `(endpoint index, now open)`.
+type BreakerObserver = Box<dyn Fn(usize, bool)>;
+
+/// The active reliability layer shared by both fabrics: breaker-aware
+/// routing, hedged dispatch, timeout rerouting, and exactly-once
+/// result arbitration. Cheap to clone (shared state).
+#[derive(Clone)]
+pub struct ReliabilityLayer {
+    inner: Rc<LayerInner>,
+}
+
+impl ReliabilityLayer {
+    /// Builds the layer for `n` endpoints with the given topic routing
+    /// (primary endpoint first in each candidate list). For endpoints
+    /// with a [`Connectivity`], a heartbeat watcher is spawned when the
+    /// default policy sets `offline_grace`: if the connection stays
+    /// offline past the grace period, the endpoint's breaker trips
+    /// without waiting for task failures.
+    pub fn new(
+        sim: &Sim,
+        tracer: Tracer,
+        label: &'static str,
+        policies: ReliabilityPolicies,
+        route: SymbolMap<Vec<usize>>,
+        connectivity: &[Connectivity],
+    ) -> Self {
+        let n = route.values().flat_map(|c| c.iter()).fold(0, |m, &e| m.max(e + 1));
+        let endpoints = (0..n.max(connectivity.len())).map(|_| EndpointHealth::new()).collect();
+        let layer = ReliabilityLayer {
+            inner: Rc::new(LayerInner {
+                sim: sim.clone(),
+                tracer,
+                label,
+                actor: Symbol::intern(&format!("{label}/health")),
+                policies,
+                route,
+                endpoints,
+                inflight: RefCell::new(BTreeMap::new()),
+                rtt: RefCell::new(SymbolMap::new()),
+                wasted: Cell::new(0.0),
+                cancelled: Cell::new(0),
+                hedged: Cell::new(0),
+                rerouted: Cell::new(0),
+                observers: RefCell::new(Vec::new()),
+            }),
+        };
+        let grace = layer.inner.policies.default.breaker.offline_grace;
+        if !grace.is_zero() {
+            for (ep, conn) in connectivity.iter().enumerate() {
+                layer.spawn_watcher(ep, conn.clone(), grace);
+            }
+        }
+        layer
+    }
+
+    /// Event-driven heartbeat watcher: on every offline transition,
+    /// race the reconnection against the grace period; losing trips
+    /// the breaker. No polling, no idle timers — the watcher pends on
+    /// the connectivity event between transitions, so it never blocks
+    /// simulation quiescence.
+    fn spawn_watcher(&self, endpoint: usize, conn: Connectivity, grace: Duration) {
+        let layer = self.clone();
+        let sim = self.inner.sim.clone();
+        self.inner.sim.spawn(async move {
+            loop {
+                conn.wait_change().await;
+                if !conn.is_online() {
+                    let back = Box::pin(conn.wait_online());
+                    if sim.timeout(grace, back).await.is_err() {
+                        layer.trip(endpoint);
+                        // Stay parked until the endpoint actually
+                        // returns; the half-open probe cycle handles
+                        // recovery from here.
+                        conn.wait_online().await;
+                    }
+                }
+            }
+        });
+    }
+
+    fn policy(&self, topic: Symbol) -> &ReliabilityPolicy {
+        self.inner.policies.policy_for(topic)
+    }
+
+    /// Candidate endpoints for `topic`, primary first.
+    pub fn candidates(&self, topic: impl Into<Symbol>) -> Option<&[usize]> {
+        self.inner.route.get(topic.into()).map(|v| v.as_slice())
+    }
+
+    /// Registers a dispatch and picks the endpoint: the first
+    /// candidate whose breaker admits the task, falling back to the
+    /// primary when every gate is shut (availability over purity).
+    /// Returns `None` for an unrouted topic. With breaking disabled
+    /// for the topic this is exactly the pre-reliability primary-only routing and
+    /// touches no breaker state.
+    pub fn admit(&self, task: &TaskSpec) -> Option<usize> {
+        let policy = self.policy(task.topic);
+        let candidates = self.inner.route.get(task.topic)?;
+        let endpoint = if policy.breaker.enabled() {
+            self.pick(task.id, candidates)
+        } else {
+            candidates.first().copied()?
+        };
+        let spec = if policy.needs_copy() { Some(task.clone()) } else { None };
+        self.inner.inflight.borrow_mut().insert(
+            task.id,
+            Inflight {
+                spec,
+                live: 1,
+                hedges: 0,
+                reroutes: 0,
+                done: false,
+                dispatched: self.inner.sim.now(),
+            },
+        );
+        Some(endpoint)
+    }
+
+    /// Breaker-aware endpoint choice. Open gates past their cool-down
+    /// lazily transition to half-open and admit the task as the probe.
+    fn pick(&self, id: TaskId, candidates: &[usize]) -> usize {
+        let now = self.inner.sim.now();
+        for &ep in candidates {
+            let Some(health) = self.inner.endpoints.get(ep) else { continue };
+            let mut gate = health.gate.borrow_mut();
+            match &mut *gate {
+                Gate::Closed => return ep,
+                Gate::Open { until } if now >= *until => {
+                    *gate = Gate::HalfOpen { probe: Some(id), successes: 0 };
+                    return ep;
+                }
+                Gate::Open { .. } => {}
+                Gate::HalfOpen { probe, .. } => {
+                    if probe.is_none() {
+                        *probe = Some(id);
+                        return ep;
+                    }
+                }
+            }
+        }
+        candidates.first().copied().unwrap_or(0)
+    }
+
+    /// The hedge watchdog delay for `topic`: the configured round-trip
+    /// quantile times the factor, once enough round trips have been
+    /// observed. `None` while hedging is disabled or the estimate is
+    /// not yet trustworthy.
+    pub fn hedge_delay(&self, topic: impl Into<Symbol>) -> Option<Duration> {
+        let topic = topic.into();
+        let hedge = &self.policy(topic).hedge;
+        if !hedge.enabled() {
+            return None;
+        }
+        let rtt = self.inner.rtt.borrow();
+        let samples = rtt.get(topic)?;
+        if samples.len() < hedge.min_samples() {
+            return None;
+        }
+        let q = samples.quantile(hedge.quantile.clamp(0.0, 1.0));
+        let factor = if hedge.factor > 0.0 { hedge.factor } else { 1.0 };
+        let delay = (q * factor).max(0.0);
+        Some(hetflow_sim::time::secs(delay))
+    }
+
+    /// The hard round-trip deadline for `topic`, if configured.
+    pub fn deadline(&self, topic: impl Into<Symbol>) -> Option<Duration> {
+        let d = self.policy(topic.into()).deadline;
+        if d.is_zero() {
+            None
+        } else {
+            Some(d)
+        }
+    }
+
+    /// Attempts to issue a speculative copy of task `id`: succeeds when
+    /// the task is still unresolved and under its hedge budget. The
+    /// copy prefers an endpoint other than the candidates' primary so
+    /// a straggling or dead endpoint is actually bypassed; with a
+    /// single endpoint the copy re-queues there (still rescuing tasks
+    /// stuck behind a crash). Emits `task_hedged`.
+    pub fn try_hedge(&self, id: TaskId, topic: impl Into<Symbol>) -> Option<(TaskSpec, usize)> {
+        let topic = topic.into();
+        let max = self.policy(topic).hedge.max_hedges();
+        let candidates = self.inner.route.get(topic)?;
+        let mut reg = self.inner.inflight.borrow_mut();
+        let entry = reg.get_mut(&id)?;
+        if entry.done || entry.hedges >= max {
+            return None;
+        }
+        let spec = entry.spec.clone()?;
+        entry.hedges += 1;
+        entry.live += 1;
+        let copy = entry.hedges;
+        drop(reg);
+        let to = self.pick_other(id, candidates, None);
+        self.inner.hedged.set(self.inner.hedged.get() + 1);
+        self.inner.tracer.emit(
+            self.inner.sim.now(),
+            self.inner.actor,
+            kinds::TASK_HEDGED,
+            id,
+            copy as f64,
+        );
+        Some((spec, to))
+    }
+
+    /// Breaker-aware choice preferring any candidate other than
+    /// `avoid` (when given) or the primary.
+    fn pick_other(&self, id: TaskId, candidates: &[usize], avoid: Option<usize>) -> usize {
+        let skip = avoid.or_else(|| candidates.first().copied());
+        let others: Vec<usize> =
+            candidates.iter().copied().filter(|&e| Some(e) != skip).collect();
+        if others.is_empty() {
+            candidates.first().copied().unwrap_or(0)
+        } else {
+            self.pick(id, &others)
+        }
+    }
+
+    /// Arbitrates a result arriving from `endpoint` just before it
+    /// would be delivered: the first terminal outcome wins; every
+    /// later copy — and any failure while a sibling copy is still
+    /// live — is suppressed, traced as `task_cancelled`, and its
+    /// burned time (`waste_secs`) is accounted as hedging waste.
+    /// Successes/failures also feed the endpoint's breaker, including
+    /// the tail-latency SLO check.
+    pub fn on_result(
+        &self,
+        endpoint: usize,
+        id: TaskId,
+        topic: impl Into<Symbol>,
+        failed: bool,
+        waste_secs: f64,
+    ) -> Verdict {
+        let topic = topic.into();
+        let now = self.inner.sim.now();
+        let cfg = &self.policy(topic).breaker;
+        let mut reg = self.inner.inflight.borrow_mut();
+        let Some(entry) = reg.get_mut(&id) else {
+            // Untracked (direct pool use in tests): pass through.
+            return Verdict::Deliver { hedges: 0, reroutes: 0 };
+        };
+        entry.live = entry.live.saturating_sub(1);
+        if entry.done {
+            let gone = entry.live == 0;
+            if gone {
+                reg.remove(&id);
+            }
+            drop(reg);
+            self.cancel(id, waste_secs);
+            return Verdict::Suppress;
+        }
+        let rtt = (now - entry.dispatched).as_secs_f64();
+        let slow = !cfg.latency_slo.is_zero() && rtt > cfg.latency_slo.as_secs_f64();
+        if failed && entry.live > 0 {
+            // A sibling copy may still win: treat this failure as a
+            // cancelled duplicate rather than a terminal outcome.
+            drop(reg);
+            self.observe(endpoint, cfg, false, id);
+            self.cancel(id, waste_secs);
+            return Verdict::Suppress;
+        }
+        entry.done = true;
+        let verdict = Verdict::Deliver { hedges: entry.hedges, reroutes: entry.reroutes };
+        if entry.live == 0 {
+            reg.remove(&id);
+        }
+        drop(reg);
+        if !failed {
+            self.inner
+                .rtt
+                .borrow_mut()
+                .get_or_insert_with(topic, Samples::default)
+                .record(rtt);
+        }
+        self.observe(endpoint, cfg, !failed && !slow, id);
+        verdict
+    }
+
+    /// Arbitrates a delivery timeout at `endpoint`: reroute to another
+    /// endpoint while the topic's budget allows (tracing
+    /// `task_rerouted`), suppress when a sibling copy is still live or
+    /// the task already resolved, and fail otherwise. The timeout
+    /// always counts as a failure signal for the endpoint's breaker.
+    pub fn on_timeout(&self, endpoint: usize, id: TaskId, topic: impl Into<Symbol>) -> TimeoutVerdict {
+        let topic = topic.into();
+        let policy = self.policy(topic);
+        let candidates: &[usize] =
+            self.inner.route.get(topic).map(Vec::as_slice).unwrap_or(&[]);
+        let mut reg = self.inner.inflight.borrow_mut();
+        let Some(entry) = reg.get_mut(&id) else {
+            return TimeoutVerdict::Fail;
+        };
+        entry.live = entry.live.saturating_sub(1);
+        if entry.done {
+            if entry.live == 0 {
+                reg.remove(&id);
+            }
+            return TimeoutVerdict::Suppress;
+        }
+        let can_reroute = entry.reroutes < policy.max_reroutes && entry.spec.is_some();
+        if can_reroute {
+            entry.reroutes += 1;
+            entry.live += 1;
+            let n = entry.reroutes;
+            let spec = entry.spec.clone();
+            drop(reg);
+            self.observe(endpoint, &policy.breaker, false, id);
+            if let Some(spec) = spec {
+                let to = self.pick_other(id, candidates, Some(endpoint));
+                self.inner.rerouted.set(self.inner.rerouted.get() + 1);
+                self.inner.tracer.emit(
+                    self.inner.sim.now(),
+                    self.inner.actor,
+                    kinds::TASK_REROUTED,
+                    id,
+                    n as f64,
+                );
+                return TimeoutVerdict::Reroute { spec: Box::new(spec), to };
+            }
+            return TimeoutVerdict::Fail;
+        }
+        if entry.live > 0 {
+            drop(reg);
+            self.observe(endpoint, &policy.breaker, false, id);
+            return TimeoutVerdict::Suppress;
+        }
+        entry.done = true;
+        reg.remove(&id);
+        drop(reg);
+        self.observe(endpoint, &policy.breaker, false, id);
+        TimeoutVerdict::Fail
+    }
+
+    /// Fires the hard round-trip deadline for task `id`: returns
+    /// `true` when the task was still unresolved — the caller must
+    /// then deliver a synthesized timeout failure; in-flight copies
+    /// are cancelled as they surface.
+    pub fn expire(&self, id: TaskId) -> bool {
+        let mut reg = self.inner.inflight.borrow_mut();
+        let Some(entry) = reg.get_mut(&id) else { return false };
+        if entry.done {
+            return false;
+        }
+        entry.done = true;
+        if entry.live == 0 {
+            reg.remove(&id);
+        }
+        true
+    }
+
+    /// Records a cancelled losing copy.
+    fn cancel(&self, id: TaskId, waste_secs: f64) {
+        self.inner.cancelled.set(self.inner.cancelled.get() + 1);
+        self.inner.wasted.set(self.inner.wasted.get() + waste_secs.max(0.0));
+        self.inner.tracer.emit(
+            self.inner.sim.now(),
+            self.inner.actor,
+            kinds::TASK_CANCELLED,
+            id,
+            waste_secs.max(0.0),
+        );
+    }
+
+    /// Feeds one observation into an endpoint's breaker.
+    fn observe(&self, endpoint: usize, cfg: &BreakerConfig, success: bool, id: TaskId) {
+        if !cfg.enabled() {
+            return;
+        }
+        let Some(health) = self.inner.endpoints.get(endpoint) else { return };
+        let mut transition: Option<bool> = None; // Some(true) = opened
+        {
+            let mut gate = health.gate.borrow_mut();
+            if let Gate::HalfOpen { probe, .. } = &mut *gate {
+                if *probe == Some(id) {
+                    *probe = None;
+                }
+            }
+            if success {
+                health.consecutive.set(0);
+                match &mut *gate {
+                    Gate::Closed => {}
+                    Gate::Open { .. } => {
+                        // A round trip completed while open: genuine
+                        // current evidence of health — move to
+                        // half-open with this success banked.
+                        if cfg.close_after() <= 1 {
+                            *gate = Gate::Closed;
+                            transition = Some(false);
+                        } else {
+                            *gate = Gate::HalfOpen { probe: None, successes: 1 };
+                        }
+                    }
+                    Gate::HalfOpen { successes, .. } => {
+                        *successes += 1;
+                        if *successes >= cfg.close_after() {
+                            *gate = Gate::Closed;
+                            transition = Some(false);
+                        }
+                    }
+                }
+            } else {
+                let c = health.consecutive.get() + 1;
+                health.consecutive.set(c);
+                let open_now = match &*gate {
+                    Gate::Closed => c >= cfg.failure_threshold,
+                    Gate::HalfOpen { .. } => true, // failed probe
+                    Gate::Open { .. } => false,
+                };
+                if open_now {
+                    *gate = Gate::Open { until: self.inner.sim.now() + cfg.open_for() };
+                    transition = Some(true);
+                }
+            }
+        }
+        match transition {
+            Some(true) => self.announce_open(endpoint),
+            Some(false) => self.announce_closed(endpoint),
+            None => {}
+        }
+    }
+
+    /// Force-opens an endpoint's breaker (heartbeat watchers; tests).
+    /// Uses the default policy's cool-down.
+    pub fn trip(&self, endpoint: usize) {
+        let Some(health) = self.inner.endpoints.get(endpoint) else { return };
+        let open_for = self.inner.policies.default.breaker.open_for();
+        let was_open = {
+            let mut gate = health.gate.borrow_mut();
+            let was = matches!(&*gate, Gate::Open { .. });
+            *gate = Gate::Open { until: self.inner.sim.now() + open_for };
+            was
+        };
+        if !was_open {
+            self.announce_open(endpoint);
+        }
+    }
+
+    fn announce_open(&self, endpoint: usize) {
+        let generation = match self.inner.endpoints.get(endpoint) {
+            Some(h) => {
+                let g = h.generation.get() + 1;
+                h.generation.set(g);
+                h.consecutive.set(0);
+                g
+            }
+            None => return,
+        };
+        let actor = format!("{}/health/ep{endpoint}", self.inner.label);
+        self.inner.tracer.emit(
+            self.inner.sim.now(),
+            &actor,
+            kinds::BREAKER_OPENED,
+            endpoint as u64,
+            generation as f64,
+        );
+        self.notify(endpoint, true);
+    }
+
+    fn announce_closed(&self, endpoint: usize) {
+        let generation =
+            self.inner.endpoints.get(endpoint).map(|h| h.generation.get()).unwrap_or(0);
+        let actor = format!("{}/health/ep{endpoint}", self.inner.label);
+        self.inner.tracer.emit(
+            self.inner.sim.now(),
+            &actor,
+            kinds::BREAKER_CLOSED,
+            endpoint as u64,
+            generation as f64,
+        );
+        self.notify(endpoint, false);
+    }
+
+    fn notify(&self, endpoint: usize, open: bool) {
+        // Take the observer list out for the duration of the calls so
+        // an observer that re-enters the layer cannot hit a borrow
+        // conflict.
+        let observers = std::mem::take(&mut *self.inner.observers.borrow_mut());
+        for f in &observers {
+            f(endpoint, open);
+        }
+        let mut slot = self.inner.observers.borrow_mut();
+        let mut merged = observers;
+        merged.append(&mut slot);
+        *slot = merged;
+    }
+
+    /// Registers an observer of breaker transitions: called with
+    /// `(endpoint, open)` at every open/close. This is how the
+    /// steering layer's resource allocator sees breaker state.
+    pub fn on_breaker_change(&self, f: impl Fn(usize, bool) + 'static) {
+        self.inner.observers.borrow_mut().push(Box::new(f));
+    }
+
+    /// True while `endpoint`'s breaker is open (cool-down running).
+    pub fn breaker_open(&self, endpoint: usize) -> bool {
+        self.inner
+            .endpoints
+            .get(endpoint)
+            .map(|h| matches!(&*h.gate.borrow(), Gate::Open { .. }))
+            .unwrap_or(false)
+    }
+
+    /// Times an endpoint's breaker has opened so far.
+    pub fn breaker_generation(&self, endpoint: usize) -> u64 {
+        self.inner.endpoints.get(endpoint).map(|h| h.generation.get()).unwrap_or(0)
+    }
+
+    /// Seconds burned by cancelled losing copies.
+    pub fn wasted_secs(&self) -> f64 {
+        self.inner.wasted.get()
+    }
+
+    /// Losing copies cancelled so far.
+    pub fn cancelled(&self) -> u64 {
+        self.inner.cancelled.get()
+    }
+
+    /// Speculative copies issued so far.
+    pub fn hedged(&self) -> u64 {
+        self.inner.hedged.get()
+    }
+
+    /// Timeout-driven re-dispatches so far.
+    pub fn rerouted(&self) -> u64 {
+        self.inner.rerouted.get()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::TaskSpec;
+    use hetflow_sim::{Sim, SimTime};
+
+    fn layer_with(policies: ReliabilityPolicies, n_endpoints: usize) -> (Sim, ReliabilityLayer) {
+        let sim = Sim::new();
+        let mut route = SymbolMap::new();
+        route.insert(Symbol::intern("noop"), (0..n_endpoints).collect::<Vec<_>>());
+        let layer = ReliabilityLayer::new(
+            &sim,
+            Tracer::enabled(),
+            "fnx",
+            policies,
+            route,
+            &[],
+        );
+        (sim, layer)
+    }
+
+    fn breaker_policy(threshold: u32) -> ReliabilityPolicies {
+        ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: threshold,
+                    open_for: Duration::from_secs(30),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        }
+    }
+
+    #[test]
+    fn disabled_policy_routes_to_primary_and_passes_results() {
+        let (_sim, layer) = layer_with(ReliabilityPolicies::default(), 2);
+        let t = TaskSpec::noop(1, 100);
+        assert_eq!(layer.admit(&t), Some(0));
+        assert_eq!(
+            layer.on_result(0, 1, "noop", false, 0.0),
+            Verdict::Deliver { hedges: 0, reroutes: 0 }
+        );
+        assert_eq!(layer.cancelled(), 0);
+        assert!(!layer.breaker_open(0));
+    }
+
+    #[test]
+    fn consecutive_failures_open_then_failover() {
+        let (_sim, layer) = layer_with(breaker_policy(3), 2);
+        for id in 0..3u64 {
+            let t = TaskSpec::noop(id, 100);
+            assert_eq!(layer.admit(&t), Some(0), "primary while closed");
+            let v = layer.on_result(0, id, "noop", true, 1.0);
+            assert_eq!(v, Verdict::Deliver { hedges: 0, reroutes: 0 });
+        }
+        assert!(layer.breaker_open(0), "third consecutive failure trips the breaker");
+        assert_eq!(layer.breaker_generation(0), 1);
+        let t = TaskSpec::noop(10, 100);
+        assert_eq!(layer.admit(&t), Some(1), "dispatch steers to the healthy endpoint");
+    }
+
+    #[test]
+    fn success_resets_consecutive_count() {
+        let (_sim, layer) = layer_with(breaker_policy(3), 2);
+        for id in 0..10u64 {
+            let t = TaskSpec::noop(id, 100);
+            layer.admit(&t);
+            // Alternate failure/success: never 3 consecutive.
+            layer.on_result(0, id, "noop", id % 2 == 0, 0.0);
+        }
+        assert!(!layer.breaker_open(0));
+    }
+
+    #[test]
+    fn half_open_probe_closes_breaker_after_cooldown() {
+        let (sim, layer) = layer_with(breaker_policy(1), 2);
+        let t = TaskSpec::noop(0, 100);
+        layer.admit(&t);
+        layer.on_result(0, 0, "noop", true, 0.0);
+        assert!(layer.breaker_open(0));
+        // Within the cool-down: dispatches steer away.
+        let t = TaskSpec::noop(1, 100);
+        assert_eq!(layer.admit(&t), Some(1));
+        layer.on_result(1, 1, "noop", false, 0.0);
+        // After the cool-down: the primary gets the half-open probe.
+        let s = sim.clone();
+        let l = layer.clone();
+        let h = sim.spawn(async move {
+            s.sleep(Duration::from_secs(31)).await;
+            let probe = TaskSpec::noop(2, 100);
+            let ep = l.admit(&probe);
+            assert!(!l.breaker_open(0), "half-open is not open");
+            let v = l.on_result(0, 2, "noop", false, 0.0);
+            (ep, v)
+        });
+        let (ep, v) = sim.block_on(h);
+        assert_eq!(ep, Some(0), "probe goes to the recovering primary");
+        assert_eq!(v, Verdict::Deliver { hedges: 0, reroutes: 0 });
+        assert!(!layer.breaker_open(0), "successful probe closes the breaker");
+        let opened = layer.inner.tracer.events_of_kind(kinds::BREAKER_OPENED);
+        let closed = layer.inner.tracer.events_of_kind(kinds::BREAKER_CLOSED);
+        assert_eq!(opened.len(), 1);
+        assert_eq!(closed.len(), 1);
+    }
+
+    #[test]
+    fn failed_probe_reopens_breaker() {
+        let (sim, layer) = layer_with(breaker_policy(1), 2);
+        let t = TaskSpec::noop(0, 100);
+        layer.admit(&t);
+        layer.on_result(0, 0, "noop", true, 0.0);
+        let s = sim.clone();
+        let l = layer.clone();
+        let h = sim.spawn(async move {
+            s.sleep(Duration::from_secs(31)).await;
+            let probe = TaskSpec::noop(1, 100);
+            let ep = l.admit(&probe);
+            l.on_result(0, 1, "noop", true, 0.0);
+            ep
+        });
+        assert_eq!(sim.block_on(h), Some(0));
+        assert!(layer.breaker_open(0), "failed probe re-opens");
+        assert_eq!(layer.breaker_generation(0), 2);
+    }
+
+    #[test]
+    fn half_open_admits_single_probe() {
+        let (sim, layer) = layer_with(breaker_policy(1), 2);
+        let t = TaskSpec::noop(0, 100);
+        layer.admit(&t);
+        layer.on_result(0, 0, "noop", true, 0.0);
+        let s = sim.clone();
+        let l = layer.clone();
+        let h = sim.spawn(async move {
+            s.sleep(Duration::from_secs(31)).await;
+            let a = l.admit(&TaskSpec::noop(1, 100));
+            let b = l.admit(&TaskSpec::noop(2, 100));
+            (a, b)
+        });
+        let (a, b) = sim.block_on(h);
+        assert_eq!(a, Some(0), "first dispatch is the probe");
+        assert_eq!(b, Some(1), "second dispatch steers away while the probe is out");
+    }
+
+    #[test]
+    fn duplicate_results_suppressed_exactly_once_semantics() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (_sim, layer) = layer_with(policies, 2);
+        let t = TaskSpec::noop(7, 100);
+        layer.admit(&t);
+        let hedge = layer.try_hedge(7, "noop");
+        assert!(hedge.is_some(), "unresolved task under budget must hedge");
+        let (_spec, to) = hedge.unwrap();
+        assert_eq!(to, 1, "hedge prefers a different endpoint");
+        assert_eq!(
+            layer.on_result(1, 7, "noop", false, 0.0),
+            Verdict::Deliver { hedges: 1, reroutes: 0 },
+            "first result wins and reports the hedge count"
+        );
+        assert_eq!(
+            layer.on_result(0, 7, "noop", false, 3.5),
+            Verdict::Suppress,
+            "the loser is cancelled"
+        );
+        assert_eq!(layer.cancelled(), 1);
+        assert!((layer.wasted_secs() - 3.5).abs() < 1e-12);
+        assert!(layer.try_hedge(7, "noop").is_none(), "resolved tasks never hedge");
+        let cancelled = layer.inner.tracer.events_of_kind(kinds::TASK_CANCELLED);
+        assert_eq!(cancelled.len(), 1);
+        assert_eq!(cancelled[0].entity, 7);
+    }
+
+    #[test]
+    fn failure_with_live_sibling_is_suppressed() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: 0.9, min_samples: 1, ..Default::default() },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (_sim, layer) = layer_with(policies, 2);
+        layer.admit(&TaskSpec::noop(1, 100));
+        layer.try_hedge(1, "noop");
+        assert_eq!(
+            layer.on_result(0, 1, "noop", true, 2.0),
+            Verdict::Suppress,
+            "a failure must not beat a still-live sibling"
+        );
+        assert_eq!(
+            layer.on_result(1, 1, "noop", false, 0.0),
+            Verdict::Deliver { hedges: 1, reroutes: 0 }
+        );
+    }
+
+    #[test]
+    fn hedge_delay_needs_samples_then_tracks_quantile() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig {
+                    quantile: 0.5,
+                    factor: 2.0,
+                    min_samples: 3,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (sim, layer) = layer_with(policies, 1);
+        assert!(layer.hedge_delay("noop").is_none(), "no samples yet");
+        let l = layer.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            for id in 0..4u64 {
+                l.admit(&TaskSpec::noop(id, 100));
+                s.sleep(Duration::from_secs(10)).await;
+                l.on_result(0, id, "noop", false, 0.0);
+            }
+            l.hedge_delay("noop")
+        });
+        let delay = sim.block_on(h);
+        // Every round trip took 10 s; median 10 × factor 2 = 20 s.
+        assert_eq!(delay, Some(Duration::from_secs(20)));
+    }
+
+    #[test]
+    fn timeout_reroutes_within_budget_then_fails() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy { max_reroutes: 1, ..Default::default() },
+            per_topic: SymbolMap::new(),
+        };
+        let (_sim, layer) = layer_with(policies, 2);
+        layer.admit(&TaskSpec::noop(3, 100));
+        match layer.on_timeout(0, 3, "noop") {
+            TimeoutVerdict::Reroute { spec, to } => {
+                assert_eq!(spec.id, 3);
+                assert_eq!(to, 1, "reroute avoids the timing-out endpoint");
+            }
+            other => panic!("expected reroute, got {other:?}"),
+        }
+        assert_eq!(layer.rerouted(), 1);
+        match layer.on_timeout(1, 3, "noop") {
+            TimeoutVerdict::Fail => {}
+            other => panic!("budget exhausted must fail, got {other:?}"),
+        }
+        let rerouted = layer.inner.tracer.events_of_kind(kinds::TASK_REROUTED);
+        assert_eq!(rerouted.len(), 1);
+    }
+
+    #[test]
+    fn expire_fires_once_and_cancels_stragglers() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                deadline: Duration::from_secs(100),
+                max_reroutes: 1,
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (_sim, layer) = layer_with(policies, 1);
+        layer.admit(&TaskSpec::noop(9, 100));
+        assert!(layer.expire(9), "unresolved task expires");
+        assert!(!layer.expire(9), "second expiry is a no-op");
+        assert_eq!(
+            layer.on_result(0, 9, "noop", false, 4.0),
+            Verdict::Suppress,
+            "a result surfacing after expiry is cancelled"
+        );
+        assert_eq!(layer.cancelled(), 1);
+    }
+
+    #[test]
+    fn latency_slo_violations_count_as_failures() {
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 2,
+                    latency_slo: Duration::from_secs(5),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (sim, layer) = layer_with(policies, 2);
+        let l = layer.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            for id in 0..2u64 {
+                l.admit(&TaskSpec::noop(id, 100));
+                s.sleep(Duration::from_secs(30)).await; // 30 s ≫ 5 s SLO
+                l.on_result(0, id, "noop", false, 0.0);
+            }
+            l.breaker_open(0)
+        });
+        assert!(sim.block_on(h), "two slow successes trip the SLO breaker");
+    }
+
+    #[test]
+    fn offline_watcher_trips_after_grace() {
+        let sim = Sim::new();
+        let conn = Connectivity::always_on();
+        let mut route = SymbolMap::new();
+        route.insert(Symbol::intern("noop"), vec![0]);
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    offline_grace: Duration::from_secs(10),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let layer = ReliabilityLayer::new(
+            &sim,
+            Tracer::enabled(),
+            "fnx",
+            policies,
+            route,
+            std::slice::from_ref(&conn),
+        );
+        let s = sim.clone();
+        let c = conn.clone();
+        sim.spawn(async move {
+            s.sleep(Duration::from_secs(5)).await;
+            c.set_online(false);
+        });
+        sim.run();
+        assert!(layer.breaker_open(0), "grace elapsed offline must trip the breaker");
+        let opened = layer.inner.tracer.events_of_kind(kinds::BREAKER_OPENED);
+        assert_eq!(opened.len(), 1);
+        assert_eq!(opened[0].t, SimTime::from_secs(15), "trip at offline + grace");
+    }
+
+    #[test]
+    fn short_blip_within_grace_does_not_trip() {
+        let sim = Sim::new();
+        let conn = Connectivity::scheduled(
+            &sim,
+            vec![(SimTime::from_secs(5), Duration::from_secs(3))],
+        );
+        let mut route = SymbolMap::new();
+        route.insert(Symbol::intern("noop"), vec![0]);
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    offline_grace: Duration::from_secs(10),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let layer = ReliabilityLayer::new(
+            &sim,
+            Tracer::enabled(),
+            "fnx",
+            policies,
+            route,
+            std::slice::from_ref(&conn),
+        );
+        sim.run();
+        assert!(!layer.breaker_open(0), "a 3 s blip inside a 10 s grace is forgiven");
+    }
+
+    #[test]
+    fn breaker_observers_see_transitions() {
+        let (_sim, layer) = layer_with(breaker_policy(1), 2);
+        let seen: Rc<RefCell<Vec<(usize, bool)>>> = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        layer.on_breaker_change(move |ep, open| sink.borrow_mut().push((ep, open)));
+        layer.admit(&TaskSpec::noop(0, 100));
+        layer.on_result(0, 0, "noop", true, 0.0);
+        layer.trip(1);
+        assert_eq!(&*seen.borrow(), &[(0, true), (1, true)]);
+    }
+}

@@ -1,0 +1,73 @@
+//! # hetflow-fabric — compute fabrics
+//!
+//! Two ways of getting a [`task::TaskSpec`] onto a remote worker and its
+//! result back (§IV-B, §V-B of the paper):
+//!
+//! * [`FnXExecutor`] — the cloud-managed federated FaaS (FuncX model):
+//!   submissions travel through a cloud service with tiered payload
+//!   storage (fast KV ≤ 20 kB, object store above, hard 10 MB cap) and
+//!   outbound-only endpoint connections. No open ports at the resources.
+//! * [`HtexExecutor`] — the direct-connection baseline (Parsl HTEX
+//!   model): an interchange forwards tasks over direct TCP links, which
+//!   requires ports/tunnels but moves payloads at link bandwidth.
+//!
+//! Both feed [`worker::WorkerPool`]s that resolve proxied inputs, run
+//! the (real) compute closure for its declared virtual duration, apply
+//! the result proxy policy, and return a [`task::TaskResult`] stamped
+//! with the full life-cycle timing the paper's figures decompose.
+//!
+//! ```
+//! use hetflow_fabric::{EndpointSpec, Fabric, FnXExecutor, FnXParams,
+//!                      TaskSpec, WorkerPoolConfig};
+//! use hetflow_store::SiteId;
+//! use hetflow_sim::{channel, Sim, SimRng, Tracer};
+//! use std::rc::Rc;
+//!
+//! let sim = Sim::new();
+//! let (results_tx, results_rx) = channel();
+//! let fabric = FnXExecutor::new(
+//!     &sim,
+//!     FnXParams::default(),
+//!     vec![EndpointSpec::reliable(
+//!         WorkerPoolConfig::bare(SiteId(0), "theta", 2),
+//!         vec!["noop"],
+//!     )],
+//!     results_tx,
+//!     SimRng::from_seed(1),
+//!     Tracer::disabled(),
+//! );
+//! let f = Rc::new(fabric);
+//! let f2 = Rc::clone(&f);
+//! sim.spawn(async move { f2.submit(TaskSpec::noop(0, 10_000)).await });
+//! sim.run();
+//! assert_eq!(results_rx.drain_now().len(), 1);
+//! ```
+
+pub mod fabric;
+pub mod faas;
+pub mod health;
+pub mod htex;
+pub mod provision;
+pub mod reliability;
+pub mod ser;
+pub mod task;
+pub mod worker;
+
+pub use fabric::Fabric;
+pub use faas::{EndpointSpec, FnXExecutor, FnXParams};
+pub use health::{
+    BreakerConfig, HedgeConfig, ReliabilityLayer, ReliabilityPolicies, ReliabilityPolicy,
+};
+pub use htex::{HtexEndpoint, HtexExecutor, HtexParams, LinkParams};
+pub use provision::{ProvisionReport, ProvisionSpec, Provisioner};
+pub use reliability::chaos::{ChaosAction, ChaosSpec, ChaosTargets, STORM_ID_BASE};
+pub use reliability::overload::{
+    AdmissionConfig, AdmissionController, BackpressureConfig, BackpressureGate,
+};
+pub use reliability::{Connectivity, FailureModel, Knob, RetryPolicies, RetryPolicy};
+pub use ser::SerModel;
+pub use task::{
+    Arg, Args, TaskCtx, TaskError, TaskFn, TaskId, TaskOutcome, TaskResult, TaskSpec, TaskTiming,
+    TaskWork, WorkerReport, TASK_ENVELOPE_BYTES,
+};
+pub use worker::{WorkerPool, WorkerPoolConfig};

@@ -1,0 +1,477 @@
+//! Failure and outage models.
+//!
+//! §IV-A3 of the paper credits the cloud-hosted services with
+//! robustness: "both FuncX and Globus's services accept and store tasks
+//! (and results) even while remote endpoints (or clients) are
+//! unavailable so tasks can be resumed when endpoints reconnect."
+//! [`Connectivity`] models an endpoint's outbound connection going up
+//! and down; the FnX fabric holds tasks in the cloud while the endpoint
+//! is offline. [`FailureModel`] models worker-level task failures with
+//! in-place re-execution.
+
+use hetflow_sim::{Dist, Event, Sim, SimRng, SimTime, Symbol, SymbolMap};
+use std::cell::Cell;
+use std::rc::Rc;
+use std::time::Duration;
+
+pub mod chaos;
+pub mod overload;
+
+/// A shared, mutable scalar dial: the hook through which the chaos
+/// engine (and interactive scenarios) degrade a running component —
+/// worker pace factors, link brownout multipliers, cloud-service
+/// slowdowns. Cloning shares the underlying cell, so the component
+/// holding one end and the chaos actor holding the other observe the
+/// same value. Components read knobs lazily and skip the multiply when
+/// the value is exactly neutral, so an untouched knob changes neither
+/// timing nor RNG streams.
+#[derive(Clone)]
+pub struct Knob(Rc<Cell<f64>>);
+
+impl Knob {
+    /// A knob at `value`.
+    pub fn new(value: f64) -> Self {
+        Knob(Rc::new(Cell::new(value)))
+    }
+
+    /// Current value.
+    pub fn get(&self) -> f64 {
+        self.0.get()
+    }
+
+    /// Sets the value.
+    pub fn set(&self, value: f64) {
+        self.0.set(value);
+    }
+}
+
+impl std::fmt::Debug for Knob {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Knob({})", self.0.get())
+    }
+}
+
+struct ConnState {
+    online: Cell<bool>,
+    changed: Event,
+    outages_seen: Cell<u32>,
+}
+
+/// An endpoint's connection state over time.
+#[derive(Clone)]
+pub struct Connectivity {
+    state: Rc<ConnState>,
+}
+
+impl std::fmt::Debug for Connectivity {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Connectivity").field("online", &self.is_online()).finish()
+    }
+}
+
+impl Connectivity {
+    /// A connection that never drops.
+    pub fn always_on() -> Self {
+        Connectivity {
+            state: Rc::new(ConnState {
+                online: Cell::new(true),
+                changed: Event::new(),
+                outages_seen: Cell::new(0),
+            }),
+        }
+    }
+
+    /// A connection that goes offline at each `(start, duration)`
+    /// window. Windows must be sorted and non-overlapping.
+    pub fn scheduled(sim: &Sim, outages: Vec<(SimTime, Duration)>) -> Self {
+        for pair in outages.windows(2) {
+            assert!(
+                pair[0].0 + pair[0].1 <= pair[1].0,
+                "outage windows must be sorted and disjoint"
+            );
+        }
+        let conn = Connectivity::always_on();
+        let state = Rc::clone(&conn.state);
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            for (start, duration) in outages {
+                sim2.sleep_until(start).await;
+                state.online.set(false);
+                state.outages_seen.set(state.outages_seen.get() + 1);
+                state.changed.set();
+                state.changed.clear();
+                sim2.sleep(duration).await;
+                state.online.set(true);
+                state.changed.set();
+                state.changed.clear();
+            }
+        });
+        conn
+    }
+
+    /// A connection whose up/down periods are drawn from distributions:
+    /// starting online, it stays up for a draw of `up`, goes down for a
+    /// draw of `down`, and repeats until the schedule passes `until`.
+    /// The whole outage schedule is precomputed from `rng` up front, so
+    /// the resulting connection is exactly as deterministic and
+    /// digest-stable as a hand-written [`Connectivity::scheduled`] one.
+    pub fn random(sim: &Sim, rng: &mut SimRng, up: &Dist, down: &Dist, until: SimTime) -> Self {
+        let mut outages = Vec::new();
+        let mut t = SimTime::ZERO;
+        while t < until {
+            // Clamp each period to a strictly positive length so the
+            // schedule always advances and windows stay disjoint.
+            let up_for = up.sample(rng).max(1e-9);
+            let down_for = down.sample(rng).max(1e-9);
+            let start = t + hetflow_sim::time::secs(up_for);
+            if start >= until {
+                break;
+            }
+            outages.push((start, hetflow_sim::time::secs(down_for)));
+            t = start + hetflow_sim::time::secs(down_for);
+        }
+        Connectivity::scheduled(sim, outages)
+    }
+
+    /// Current state.
+    pub fn is_online(&self) -> bool {
+        self.state.online.get()
+    }
+
+    /// Number of outages that have begun so far.
+    pub fn outages_seen(&self) -> u32 {
+        self.state.outages_seen.get()
+    }
+
+    /// Resolves once the connection is online (immediately if it is).
+    pub async fn wait_online(&self) {
+        while !self.state.online.get() {
+            self.state.changed.wait_next().await;
+        }
+    }
+
+    /// Resolves at the *next* state transition (offline→online or
+    /// online→offline). Used by heartbeat watchers, which must be
+    /// event-driven: a watcher parked here pends on the event and never
+    /// blocks simulation quiescence.
+    pub async fn wait_change(&self) {
+        self.state.changed.wait_next().await;
+    }
+
+    /// Manually set the state (for tests and interactive scenarios).
+    pub fn set_online(&self, online: bool) {
+        if self.state.online.get() != online {
+            if !online {
+                self.state.outages_seen.set(self.state.outages_seen.get() + 1);
+            }
+            self.state.online.set(online);
+            self.state.changed.set();
+            self.state.changed.clear();
+        }
+    }
+}
+
+/// Worker-level task failure model: each execution attempt fails with
+/// probability `prob`; a failed attempt wastes a fraction of the
+/// compute time plus a detection/restart delay, then the task is
+/// re-executed on the same worker.
+#[derive(Clone, Debug)]
+pub struct FailureModel {
+    /// Per-attempt failure probability.
+    pub prob: f64,
+    /// Fraction of the compute duration spent before the failure
+    /// (uniform in `[0, 1]` scaled by this cap).
+    pub waste_fraction: f64,
+    /// Detection + restart delay.
+    pub restart_delay: Dist,
+    /// Attempts before giving up. Exhausting them is a normal,
+    /// reportable outcome: the task fails with
+    /// `TaskError::ExhaustedRetries` and the failure travels the result
+    /// path back to the thinker. A per-topic
+    /// [`RetryPolicy::max_attempts`] overrides this cap when nonzero.
+    pub max_attempts: u32,
+}
+
+impl FailureModel {
+    /// A model that never fails (useful default).
+    pub fn none() -> Option<FailureModel> {
+        None
+    }
+
+    /// Draws whether the next attempt fails.
+    pub fn attempt_fails(&self, rng: &mut SimRng) -> bool {
+        rng.chance(self.prob)
+    }
+
+    /// Time wasted by a failed attempt on a task of `compute` length.
+    pub fn wasted(&self, compute: Duration, rng: &mut SimRng) -> Duration {
+        let frac = rng.unit() * self.waste_fraction.clamp(0.0, 1.0);
+        let waste = compute.mul_f64(frac);
+        waste + self.restart_delay.sample_secs(rng)
+    }
+}
+
+/// How failures of one task topic are handled: how many execution
+/// attempts a worker makes, how long the fabric waits for delivery
+/// before declaring a timeout, and how long a worker backs off between
+/// attempts.
+///
+/// The zero values are "defer": `max_attempts == 0` defers to the
+/// pool's [`FailureModel::max_attempts`], `timeout == None` means no
+/// deadline, and the default backoff `Dist::Constant(0.0)` draws no
+/// random numbers — so the default policy leaves existing same-seed
+/// traces bit-identical.
+#[derive(Clone, Debug)]
+pub struct RetryPolicy {
+    /// Execution attempts before the task fails with
+    /// `ExhaustedRetries`. `0` defers to the failure model's cap.
+    pub max_attempts: u32,
+    /// Deadline for the fabric to deliver the task to its endpoint's
+    /// worker pool — the cloud-transit leg, including any time spent
+    /// held behind an endpoint outage. A task stuck longer than this
+    /// fails with `TaskError::Timeout` instead of waiting forever.
+    /// Execution and the result's return trip are not covered: once a
+    /// worker has the task, it runs.
+    pub timeout: Option<Duration>,
+    /// Delay a worker inserts before each re-execution attempt (on top
+    /// of the failure model's wasted time).
+    pub backoff: Dist,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy { max_attempts: 0, timeout: None, backoff: Dist::Constant(0.0) }
+    }
+}
+
+impl RetryPolicy {
+    /// The attempt cap in effect given the pool's failure model.
+    pub fn effective_max_attempts(&self, fm: &FailureModel) -> u32 {
+        if self.max_attempts > 0 {
+            self.max_attempts
+        } else {
+            fm.max_attempts
+        }
+    }
+}
+
+/// Per-topic retry policies with a fallback default, configurable on
+/// `WorkerPoolConfig` (worker-side attempts/backoff) and consulted by
+/// the fabrics (delivery timeouts).
+#[derive(Clone, Debug, Default)]
+pub struct RetryPolicies {
+    /// Policy for topics without a dedicated entry.
+    pub default: RetryPolicy,
+    /// Topic-specific overrides. Indexed by interned [`Symbol`] id —
+    /// O(1) per lookup on the dispatch path — while iterating in
+    /// resolved-string order, so traces match the old
+    /// `BTreeMap<String, _>` exactly.
+    pub per_topic: SymbolMap<RetryPolicy>,
+}
+
+impl RetryPolicies {
+    /// Builder: sets the policy for one topic.
+    pub fn with_topic(mut self, topic: impl Into<Symbol>, policy: RetryPolicy) -> Self {
+        self.per_topic.insert(topic.into(), policy);
+        self
+    }
+
+    /// The policy governing `topic`.
+    pub fn policy_for(&self, topic: impl Into<Symbol>) -> &RetryPolicy {
+        self.per_topic.get(topic.into()).unwrap_or(&self.default)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetflow_sim::time::secs;
+
+    #[test]
+    fn always_on_never_blocks() {
+        let sim = Sim::new();
+        let conn = Connectivity::always_on();
+        let c = conn.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            c.wait_online().await;
+            s.now()
+        });
+        assert_eq!(sim.block_on(h), SimTime::ZERO);
+        assert!(conn.is_online());
+        assert_eq!(conn.outages_seen(), 0);
+    }
+
+    #[test]
+    fn scheduled_outage_blocks_until_reconnect() {
+        let sim = Sim::new();
+        let conn = Connectivity::scheduled(
+            &sim,
+            vec![(SimTime::from_secs(10), Duration::from_secs(30))],
+        );
+        let c = conn.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(secs(15.0)).await; // mid-outage
+            assert!(!c.is_online());
+            c.wait_online().await;
+            s.now()
+        });
+        assert_eq!(sim.block_on(h), SimTime::from_secs(40));
+        assert_eq!(conn.outages_seen(), 1);
+    }
+
+    #[test]
+    fn multiple_outages_in_order() {
+        let sim = Sim::new();
+        let conn = Connectivity::scheduled(
+            &sim,
+            vec![
+                (SimTime::from_secs(10), Duration::from_secs(5)),
+                (SimTime::from_secs(30), Duration::from_secs(5)),
+            ],
+        );
+        sim.run();
+        assert_eq!(conn.outages_seen(), 2);
+        assert!(conn.is_online());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted and disjoint")]
+    fn overlapping_outages_rejected() {
+        let sim = Sim::new();
+        let _ = Connectivity::scheduled(
+            &sim,
+            vec![
+                (SimTime::from_secs(10), Duration::from_secs(20)),
+                (SimTime::from_secs(15), Duration::from_secs(5)),
+            ],
+        );
+    }
+
+    #[test]
+    fn manual_toggle() {
+        let sim = Sim::new();
+        let conn = Connectivity::always_on();
+        conn.set_online(false);
+        assert!(!conn.is_online());
+        assert_eq!(conn.outages_seen(), 1);
+        let c = conn.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            c.wait_online().await;
+            s.now()
+        });
+        let s2 = sim.clone();
+        sim.spawn(async move {
+            s2.sleep(secs(3.0)).await;
+            conn.set_online(true);
+        });
+        assert_eq!(sim.block_on(h), SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn failure_model_statistics() {
+        let m = FailureModel {
+            prob: 0.3,
+            waste_fraction: 0.5,
+            restart_delay: Dist::Constant(1.0),
+            max_attempts: 5,
+        };
+        let mut rng = SimRng::from_seed(4);
+        let fails = (0..10_000).filter(|_| m.attempt_fails(&mut rng)).count();
+        assert!((2_700..3_300).contains(&fails), "{fails}");
+        let wasted = m.wasted(Duration::from_secs(100), &mut rng);
+        assert!(wasted >= Duration::from_secs(1));
+        assert!(wasted <= Duration::from_secs(51));
+    }
+
+    #[test]
+    fn knob_shares_state_across_clones() {
+        let k = Knob::new(1.0);
+        let k2 = k.clone();
+        k2.set(2.5);
+        assert_eq!(k.get(), 2.5);
+        assert_eq!(format!("{k:?}"), "Knob(2.5)");
+    }
+
+    #[test]
+    fn random_connectivity_is_deterministic_and_finite() {
+        let schedule = |seed: u64| {
+            let sim = Sim::new();
+            let mut rng = SimRng::from_seed(seed);
+            let conn = Connectivity::random(
+                &sim,
+                &mut rng,
+                &Dist::Uniform { lo: 5.0, hi: 20.0 },
+                &Dist::Uniform { lo: 1.0, hi: 10.0 },
+                SimTime::from_secs(500),
+            );
+            let r = sim.run();
+            assert_eq!(r.pending_tasks, 0, "schedule actor must terminate");
+            (conn.outages_seen(), sim.now())
+        };
+        let (outages, end) = schedule(7);
+        assert!(outages > 5, "500s of 5-30s cycles must produce outages, got {outages}");
+        assert_eq!((outages, end), schedule(7), "same seed, same schedule");
+        assert_ne!(schedule(7).1, schedule(8).1, "different seeds should diverge");
+    }
+
+    #[test]
+    fn random_connectivity_ends_online_before_horizon_plus_down() {
+        let sim = Sim::new();
+        let mut rng = SimRng::from_seed(3);
+        let conn = Connectivity::random(
+            &sim,
+            &mut rng,
+            &Dist::Constant(10.0),
+            &Dist::Constant(5.0),
+            SimTime::from_secs(100),
+        );
+        sim.run();
+        assert!(conn.is_online(), "schedule always returns online after the last outage");
+        // up 10 / down 5 cycles until a start >= 100: starts at 10, 25,
+        // 40, 55, 70, 85 — six outages.
+        assert_eq!(conn.outages_seen(), 6);
+    }
+
+    #[test]
+    fn wait_change_observes_both_transitions() {
+        let sim = Sim::new();
+        let conn = Connectivity::scheduled(
+            &sim,
+            vec![(SimTime::from_secs(5), Duration::from_secs(5))],
+        );
+        let c = conn.clone();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            c.wait_change().await;
+            let first = (s.now(), c.is_online());
+            c.wait_change().await;
+            let second = (s.now(), c.is_online());
+            (first, second)
+        });
+        let (first, second) = sim.block_on(h);
+        assert_eq!(first, (SimTime::from_secs(5), false));
+        assert_eq!(second, (SimTime::from_secs(10), true));
+    }
+
+    #[test]
+    fn retry_policies_resolve_per_topic() {
+        let policies = RetryPolicies::default().with_topic(
+            "train",
+            RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
+        );
+        assert_eq!(policies.policy_for("train").max_attempts, 3);
+        assert_eq!(policies.policy_for("simulate").max_attempts, 0);
+        let fm = FailureModel {
+            prob: 0.1,
+            waste_fraction: 0.5,
+            restart_delay: Dist::Constant(1.0),
+            max_attempts: 7,
+        };
+        assert_eq!(policies.policy_for("train").effective_max_attempts(&fm), 3);
+        assert_eq!(policies.policy_for("simulate").effective_max_attempts(&fm), 7);
+        assert!(policies.policy_for("simulate").timeout.is_none());
+    }
+}

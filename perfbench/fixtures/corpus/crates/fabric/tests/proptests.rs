@@ -1,0 +1,267 @@
+//! Property-based tests of fabric invariants: no task is lost, stamps
+//! are monotone, and both fabrics agree on *what* is computed (they may
+//! only differ on *when*).
+
+use hetflow_fabric::{
+    Arg, BreakerConfig, ChaosAction, ChaosSpec, EndpointSpec, Fabric, FnXExecutor, FnXParams,
+    HtexEndpoint, HtexExecutor, HtexParams, LinkParams, ReliabilityPolicies, ReliabilityPolicy,
+    TaskSpec, TaskWork, WorkerPoolConfig,
+};
+use hetflow_store::SiteId;
+use hetflow_sim::{channel, Dist, Receiver, Sim, SimRng, SimTime, Tracer};
+use proptest::prelude::*;
+use std::rc::Rc;
+use std::time::Duration;
+
+const SITE: SiteId = SiteId(0);
+
+fn mk_task(id: u64, payload_kb: u64, compute_ms: u64) -> TaskSpec {
+    let mut t = TaskSpec::new(
+        id,
+        "noop",
+        vec![Arg::inline(id, payload_kb * 1_000)],
+        Rc::new(move |ctx| {
+            let v = *ctx.input::<u64>(0);
+            TaskWork::new(v * 2, 100, Duration::from_millis(compute_ms))
+        }),
+    );
+    t.timing.created = Some(hetflow_sim::SimTime::ZERO);
+    t
+}
+
+fn run_fabric(
+    fnx: bool,
+    workers: usize,
+    tasks: &[(u64, u64)],
+) -> Vec<hetflow_fabric::TaskResult> {
+    let sim = Sim::new();
+    let (res_tx, res_rx): (_, Receiver<hetflow_fabric::TaskResult>) = channel();
+    let pool = WorkerPoolConfig::bare(SITE, "w", workers);
+    let fabric: Rc<dyn Fabric> = if fnx {
+        Rc::new(FnXExecutor::new(
+            &sim,
+            FnXParams::default(),
+            vec![EndpointSpec::reliable(pool, vec!["noop"])],
+            res_tx,
+            SimRng::from_seed(7),
+            Tracer::disabled(),
+        ))
+    } else {
+        Rc::new(HtexExecutor::new(
+            &sim,
+            HtexParams::default(),
+            vec![HtexEndpoint { pool, topics: vec!["noop"], link: LinkParams::local() }],
+            res_tx,
+            SimRng::from_seed(7),
+            Tracer::disabled(),
+        ))
+    };
+    let tasks = tasks.to_vec();
+    let f = Rc::clone(&fabric);
+    sim.spawn(async move {
+        for (i, (kb, ms)) in tasks.into_iter().enumerate() {
+            f.submit(mk_task(i as u64, kb.min(8_000), ms)).await;
+        }
+    });
+    sim.run();
+    res_rx.drain_now()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every submitted task comes back exactly once, with the right
+    /// output, on both fabrics.
+    #[test]
+    fn no_task_lost_or_duplicated(
+        fnx in any::<bool>(),
+        workers in 1usize..6,
+        tasks in prop::collection::vec((1u64..500, 1u64..2_000), 1..25),
+    ) {
+        let results = run_fabric(fnx, workers, &tasks);
+        prop_assert_eq!(results.len(), tasks.len());
+        let mut ids: Vec<u64> = results.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len(), tasks.len());
+        for r in &results {
+            let out = match &r.output {
+                Arg::Inline { value, .. } => *Rc::clone(value).downcast::<u64>().unwrap(),
+                Arg::Proxied(_) => unreachable!("no result policy"),
+            };
+            prop_assert_eq!(out, r.id * 2);
+        }
+    }
+
+    /// Life-cycle stamps are monotone on every result.
+    #[test]
+    fn stamps_are_monotone(
+        fnx in any::<bool>(),
+        tasks in prop::collection::vec((1u64..500, 1u64..2_000), 1..15),
+    ) {
+        let results = run_fabric(fnx, 2, &tasks);
+        for r in &results {
+            let t = &r.timing;
+            let stamps = [
+                t.dispatched,
+                t.worker_started,
+                t.inputs_resolved,
+                t.compute_finished,
+                t.result_dispatched,
+                t.server_result_received,
+            ];
+            for pair in stamps.windows(2) {
+                let (a, b) = (pair[0].unwrap(), pair[1].unwrap());
+                prop_assert!(a <= b, "{a:?} > {b:?}");
+            }
+        }
+    }
+
+    /// Worker time accounts for at least the declared compute time.
+    #[test]
+    fn worker_time_covers_compute(
+        compute_ms in prop::collection::vec(1u64..5_000, 1..10),
+    ) {
+        let tasks: Vec<(u64, u64)> = compute_ms.iter().map(|&ms| (1, ms)).collect();
+        let results = run_fabric(true, 3, &tasks);
+        for r in &results {
+            let on_worker = r.timing.time_on_worker().unwrap();
+            prop_assert!(
+                on_worker >= r.report.compute_time,
+                "{on_worker:?} < {:?}",
+                r.report.compute_time
+            );
+        }
+    }
+
+    /// With one worker, compute windows never overlap (mutual
+    /// exclusion of the resource).
+    #[test]
+    fn single_worker_serializes_compute(
+        tasks in prop::collection::vec((1u64..100, 10u64..500), 2..10),
+    ) {
+        let results = run_fabric(false, 1, &tasks);
+        let mut windows: Vec<(hetflow_sim::SimTime, hetflow_sim::SimTime)> = results
+            .iter()
+            .map(|r| (r.timing.worker_started.unwrap(), r.timing.result_dispatched.unwrap()))
+            .collect();
+        windows.sort();
+        for pair in windows.windows(2) {
+            prop_assert!(pair[0].1 <= pair[1].0, "overlap: {pair:?}");
+        }
+    }
+}
+
+// --- Chaos-engine invariants -----------------------------------------------
+
+/// Decodes one generated `(kind, a, b, c)` tuple into a scripted fault
+/// targeting one of two endpoints/pools. The vendored proptest has no
+/// enum strategies, so the mapping is done by hand — every tuple decodes
+/// to a valid action, so the full generator space is exercised.
+fn decode_action(kind: u64, a: u64, b: u64, c: u64) -> ChaosAction {
+    let endpoint = (a % 2) as usize;
+    let at = SimTime::from_secs(1 + b % 120);
+    let duration = Duration::from_secs(1 + c % 60);
+    match kind % 6 {
+        0 => ChaosAction::Flap {
+            endpoint,
+            start: at,
+            up: Dist::Uniform { lo: 1.0, hi: 2.0 + (c % 20) as f64 },
+            down: Dist::Uniform { lo: 0.5, hi: 1.0 + (c % 10) as f64 },
+            cycles: 1 + (c % 3) as u32,
+        },
+        1 => ChaosAction::Kill { endpoint, at },
+        2 => ChaosAction::Brownout { endpoint, at, duration, factor: 2.0 + (c % 6) as f64 },
+        3 => ChaosAction::Straggle { pool: endpoint, at, duration, factor: 2.0 + (c % 3) as f64 },
+        4 => ChaosAction::CrashStorm { pool: endpoint, at, duration, prob: (c % 90) as f64 / 100.0 },
+        _ => ChaosAction::Degrade { at, duration, factor: 2.0 + (c % 3) as f64 },
+    }
+}
+
+/// Runs `n_tasks` through a two-endpoint FnX fabric (breaker, failover,
+/// and the hard deadline backstop) with the chaos script installed, and
+/// returns the results plus the trace digest.
+fn run_chaos(actions: &[ChaosAction], seed: u64, n_tasks: u64) -> (Vec<hetflow_fabric::TaskResult>, u64) {
+    let sim = Sim::new();
+    let tracer = Tracer::enabled();
+    let (res_tx, res_rx): (_, Receiver<hetflow_fabric::TaskResult>) = channel();
+    let policies = ReliabilityPolicies {
+        default: ReliabilityPolicy {
+            breaker: BreakerConfig {
+                failure_threshold: 2,
+                open_for: Duration::from_secs(30),
+                close_after: 1,
+                offline_grace: Duration::from_secs(5),
+                latency_slo: Duration::ZERO,
+            },
+            max_reroutes: 1,
+            // Hard backstop: whatever the script does, every task id
+            // reaches a terminal outcome by submit + 300 s.
+            deadline: Duration::from_secs(300),
+            ..Default::default()
+        },
+        per_topic: Default::default(),
+    };
+    let exec = FnXExecutor::with_reliability(
+        &sim,
+        FnXParams::default(),
+        vec![
+            EndpointSpec::reliable(WorkerPoolConfig::bare(SiteId(0), "a", 2), vec!["noop"]),
+            EndpointSpec::reliable(WorkerPoolConfig::bare(SiteId(1), "b", 2), vec!["noop"]),
+        ],
+        res_tx,
+        SimRng::from_seed(seed),
+        tracer.clone(),
+        policies,
+    );
+    ChaosSpec::new(actions.to_vec()).install(&sim, seed, &exec.chaos_targets());
+    let f = Rc::new(exec);
+    let sim2 = sim.clone();
+    sim.spawn(async move {
+        for id in 0..n_tasks {
+            f.submit(mk_task(id, 10, 2_000)).await;
+            sim2.sleep(hetflow_sim::time::secs(10.0)).await;
+        }
+    });
+    sim.run();
+    (res_rx.drain_now(), tracer.digest())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Under an arbitrary chaos script, every submitted task id reaches
+    /// exactly one terminal outcome — killed sites, flapping links, and
+    /// crash storms may fail or reroute tasks, but never lose or
+    /// duplicate them.
+    #[test]
+    fn chaos_never_loses_or_duplicates_tasks(
+        raw in prop::collection::vec((0u64..6, 0u64..1_000, 0u64..1_000, 0u64..1_000), 1..6),
+        seed in 0u64..1_000,
+    ) {
+        let actions: Vec<ChaosAction> =
+            raw.iter().map(|&(k, a, b, c)| decode_action(k, a, b, c)).collect();
+        let n = 8u64;
+        let (results, _) = run_chaos(&actions, seed, n);
+        prop_assert_eq!(results.len() as u64, n, "one terminal outcome per task");
+        let mut ids: Vec<u64> = results.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len() as u64, n, "no duplicate terminal outcomes");
+    }
+
+    /// The chaos engine is replayable: the same (script, seed) pair
+    /// produces byte-identical traces.
+    #[test]
+    fn chaos_same_seed_same_digest(
+        raw in prop::collection::vec((0u64..6, 0u64..1_000, 0u64..1_000, 0u64..1_000), 1..6),
+        seed in 0u64..1_000,
+    ) {
+        let actions: Vec<ChaosAction> =
+            raw.iter().map(|&(k, a, b, c)| decode_action(k, a, b, c)).collect();
+        let (r1, d1) = run_chaos(&actions, seed, 6);
+        let (r2, d2) = run_chaos(&actions, seed, 6);
+        prop_assert_eq!(d1, d2, "same seed must replay the same trace");
+        prop_assert_eq!(r1.len(), r2.len());
+    }
+}

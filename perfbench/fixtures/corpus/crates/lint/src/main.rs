@@ -1,0 +1,254 @@
+//! hetlint CLI: `cargo run -p hetflow-lint [-- [options] <workspace-root>]`.
+//!
+//! Walks the workspace sources, verifies the `hetlint.ratchet` budget
+//! file, and reports violations of the determinism contract. See
+//! DESIGN.md "Determinism rules" for the rule catalogue and the
+//! `hetlint: allow(<rule>) — <reason>` suppression syntax.
+//!
+//! The per-file pass runs through the incremental cache under
+//! `target/hetlint-cache/` by default; the cross-file phases (R7–R16)
+//! always run fresh.
+//!
+//! Options:
+//! - `--format text|json` — report format (default text)
+//! - `--callgraph` — emit the workspace call graph instead of the
+//!   report (JSON under `--format json`, a summary under text)
+//! - `--dataflow` — emit the converged dataflow document (per-function
+//!   summaries plus every R14–R16 finding) instead of the report
+//! - `--no-cache` — lint every file from source, bypassing the cache
+//! - `--explain <rule>` — print the long-form description of one rule
+//!   (any key in the rule range, `bad-allow`, or an `allow(..)` alias)
+//!   and exit
+//!
+//! Exit codes are stable for CI:
+//! - `0` — contract holds (no violations, budgets respected)
+//! - `1` — violations found (including budget overruns and bad allows)
+//! - `2` — the tool itself failed (bad usage, unreadable tree, missing
+//!   or malformed ratchet file, unknown `--explain` rule)
+
+use std::path::PathBuf;
+use std::process::ExitCode;
+
+use hetflow_lint::{cache, graph, json, rule_range, Report, RuleId, RULE_KEYS};
+
+enum Format {
+    Text,
+    Json,
+}
+
+fn usage() {
+    eprintln!(
+        "usage: hetlint [--format text|json] [--callgraph] [--dataflow] [--no-cache] \
+         [--explain <rule>] [workspace-root]"
+    );
+}
+
+fn main() -> ExitCode {
+    let mut format = Format::Text;
+    let mut callgraph = false;
+    let mut dataflow = false;
+    let mut use_cache = true;
+    let mut explain: Option<String> = None;
+    let mut root: Option<PathBuf> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--format" => match args.next().as_deref() {
+                Some("json") => format = Format::Json,
+                Some("text") => format = Format::Text,
+                _ => {
+                    usage();
+                    return ExitCode::from(2);
+                }
+            },
+            "--format=json" => format = Format::Json,
+            "--format=text" => format = Format::Text,
+            "--callgraph" => callgraph = true,
+            "--dataflow" => dataflow = true,
+            "--no-cache" => use_cache = false,
+            "--explain" => match args.next() {
+                Some(rule) => explain = Some(rule),
+                None => {
+                    usage();
+                    return ExitCode::from(2);
+                }
+            },
+            "--help" | "-h" => {
+                usage();
+                return ExitCode::SUCCESS;
+            }
+            _ if arg.starts_with("--explain=") => {
+                explain = Some(arg["--explain=".len()..].to_string());
+            }
+            _ if arg.starts_with('-') => {
+                usage();
+                return ExitCode::from(2);
+            }
+            _ => {
+                if root.is_some() {
+                    usage();
+                    return ExitCode::from(2);
+                }
+                root = Some(PathBuf::from(arg));
+            }
+        }
+    }
+    if let Some(rule) = explain {
+        return match hetflow_lint::explain(&rule) {
+            Some(text) => {
+                println!("{text}");
+                ExitCode::SUCCESS
+            }
+            None => {
+                eprintln!(
+                    "hetlint: unknown rule `{rule}` (valid: {}, bad-allow — i.e. {})",
+                    RULE_KEYS.join(", "),
+                    rule_range()
+                );
+                ExitCode::from(2)
+            }
+        };
+    }
+    let root = root.unwrap_or_else(|| PathBuf::from("."));
+    let cache_dir = use_cache.then(|| cache::default_dir(&root));
+    let (out, stats) = match hetflow_lint::run_all_cached(&root, cache_dir.as_deref()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("hetlint: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if callgraph {
+        match format {
+            Format::Json => println!("{}", json::graph_to_json(&out.graph)),
+            Format::Text => print_graph(&out.graph),
+        }
+        return ExitCode::SUCCESS;
+    }
+    if dataflow {
+        match format {
+            Format::Json | Format::Text => println!("{}", json::dataflow_to_json(&out.dataflow)),
+        }
+        return ExitCode::SUCCESS;
+    }
+    match format {
+        Format::Json => println!("{}", json::report_to_json(&out.report)),
+        Format::Text => print_report(&out.report, use_cache.then_some(stats)),
+    }
+    if out.report.clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn print_graph(graph: &graph::CallGraph) {
+    let n_edges: usize = graph.edges.iter().map(Vec::len).sum();
+    println!("hetlint call graph: {} nodes, {n_edges} edges", graph.nodes.len());
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let out: Vec<&str> = graph.edges[id]
+            .iter()
+            .map(|&m| graph.nodes[m].qname.as_str())
+            .collect();
+        if out.is_empty() {
+            println!("  {}", node.qname);
+        } else {
+            println!("  {} -> {}", node.qname, out.join(", "));
+        }
+    }
+}
+
+fn print_report(report: &Report, stats: Option<cache::CacheStats>) {
+    let rules = [
+        RuleId::R1,
+        RuleId::R2,
+        RuleId::R3,
+        RuleId::R4,
+        RuleId::R6,
+        RuleId::R7,
+        RuleId::R8,
+        RuleId::R9,
+        RuleId::R10,
+        RuleId::R11,
+        RuleId::R12,
+        RuleId::R13,
+        RuleId::R14,
+        RuleId::R15,
+        RuleId::R16,
+        RuleId::BadAllow,
+    ];
+    for rule in rules {
+        let hits: Vec<_> = report
+            .violations
+            .iter()
+            .chain(&report.bad_allows)
+            .filter(|v| v.rule == rule)
+            .collect();
+        if hits.is_empty() {
+            continue;
+        }
+        println!("{}", rule.title());
+        for v in hits {
+            println!("  {v}");
+        }
+    }
+    if !report.unwrap_rows.is_empty() {
+        println!("{}", RuleId::R5.title());
+        for (name, count, budget) in &report.unwrap_rows {
+            if count > budget {
+                println!(
+                    "  crate `{name}`: {count}/{budget} OVER BUDGET; convert to Result \
+                     plumbing / the typed task-failure path, annotate an invariant \
+                     abort with `hetlint: allow(r5) — <why>`, or raise the budget in \
+                     hetlint.ratchet with a design-reviewed diff"
+                );
+            } else {
+                println!("  crate `{name}`: {count}/{budget}");
+            }
+        }
+    }
+    for (rule, label, row) in [
+        (RuleId::R13, "reachable panic sites", report.reachable_panics),
+        (RuleId::R14, "nondeterminism-taint flows", report.nondet_taint),
+        (RuleId::R15, "discarded fabric effects", report.discarded_effects),
+    ] {
+        if let Some((count, budget)) = row {
+            println!("{}", rule.title());
+            if count > budget {
+                println!(
+                    "  {count}/{budget} OVER BUDGET; see the {} violations above for \
+                     the witness chains",
+                    rule.key()
+                );
+            } else {
+                println!("  {label}: {count}/{budget}");
+            }
+        }
+    }
+    for note in &report.notes {
+        println!("note: {note}");
+    }
+    println!(
+        "hetlint: {} files, {} violations, {} suppressed (reasoned), {} bad allows",
+        report.files_scanned,
+        report.violations.len()
+            + report
+                .unwrap_rows
+                .iter()
+                .filter(|(_, c, b)| c > b)
+                .count(),
+        report.suppressed.len(),
+        report.bad_allows.len()
+    );
+    if let Some(stats) = stats {
+        println!(
+            "hetlint: cache {} hits, {} misses ({})",
+            stats.hits,
+            stats.misses,
+            cache::fingerprint()
+        );
+    }
+    if report.clean() {
+        println!("hetlint: determinism contract holds");
+    }
+}

@@ -1,0 +1,163 @@
+//! Ridge regression (single- and multi-output) via normal equations.
+
+use crate::linalg::{LinalgError, Matrix};
+
+/// A fitted linear model `y = W x (+ intercept)`.
+#[derive(Clone, Debug)]
+pub struct Ridge {
+    /// `d × k` weights (k outputs).
+    weights: Matrix,
+    intercepts: Vec<f64>,
+}
+
+impl Ridge {
+    /// Fits `X w = y` with L2 penalty `lambda` and a fitted intercept.
+    pub fn fit(x: &Matrix, y: &[f64], lambda: f64) -> Result<Ridge, LinalgError> {
+        let y_mat = Matrix::from_vec(y.len(), 1, y.to_vec());
+        Ridge::fit_multi(x, &y_mat, lambda, true)
+    }
+
+    /// Fits a multi-output model; `y` is `n × k`. When `center` is set,
+    /// per-output intercepts absorb the means.
+    pub fn fit_multi(
+        x: &Matrix,
+        y: &Matrix,
+        lambda: f64,
+        center: bool,
+    ) -> Result<Ridge, LinalgError> {
+        assert_eq!(x.rows(), y.rows(), "row count mismatch");
+        assert!(lambda >= 0.0);
+        let n = x.rows();
+        let d = x.cols();
+        let k = y.cols();
+        // Center both X and y so the penalty does not shrink the
+        // intercept and the weights are unbiased by feature offsets.
+        let (x_means, y_means) = if center {
+            let xm: Vec<f64> =
+                (0..d).map(|c| (0..n).map(|r| x[(r, c)]).sum::<f64>() / n as f64).collect();
+            let ym: Vec<f64> =
+                (0..k).map(|c| (0..n).map(|r| y[(r, c)]).sum::<f64>() / n as f64).collect();
+            (xm, ym)
+        } else {
+            (vec![0.0; d], vec![0.0; k])
+        };
+        let mut xc = x.clone();
+        let mut yc = y.clone();
+        for r in 0..n {
+            for c in 0..d {
+                xc[(r, c)] -= x_means[c];
+            }
+            for c in 0..k {
+                yc[(r, c)] -= y_means[c];
+            }
+        }
+        let mut gram = xc.gram();
+        // A touch of jitter keeps the factorization stable even at
+        // lambda = 0 with collinear features.
+        gram.add_diag(lambda.max(1e-10));
+        let xty = xc.t_matmul(&yc);
+        let weights = gram.cholesky()?.solve_matrix(&xty);
+        // intercept_c = ȳ_c − w_c · x̄
+        let intercepts: Vec<f64> = (0..k)
+            .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
+            .collect();
+        Ok(Ridge { weights, intercepts })
+    }
+
+    /// Number of outputs.
+    pub fn n_outputs(&self) -> usize {
+        self.weights.cols()
+    }
+
+    /// Predicts all outputs for one input.
+    pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.weights.rows(), "feature dim mismatch");
+        (0..self.n_outputs())
+            .map(|c| {
+                self.intercepts[c]
+                    + (0..x.len()).map(|d| x[d] * self.weights[(d, c)]).sum::<f64>()
+            })
+            .collect()
+    }
+
+    /// Predicts the first output (convenience for scalar models).
+    pub fn predict_scalar(&self, x: &[f64]) -> f64 {
+        self.predict(x)[0]
+    }
+
+    /// The raw weight matrix (`d × k`).
+    pub fn weights(&self) -> &Matrix {
+        &self.weights
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetflow_sim::SimRng;
+
+    #[test]
+    fn recovers_linear_function() {
+        let mut rng = SimRng::from_seed(1);
+        let true_w = [2.0, -1.0, 0.5];
+        let rows: Vec<Vec<f64>> = (0..200)
+            .map(|_| (0..3).map(|_| rng.standard_normal()).collect())
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| r.iter().zip(&true_w).map(|(a, b)| a * b).sum::<f64>() + 3.0)
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let model = Ridge::fit(&x, &y, 1e-6).unwrap();
+        let pred = model.predict_scalar(&[1.0, 1.0, 1.0]);
+        let expect = 2.0 - 1.0 + 0.5 + 3.0;
+        assert!((pred - expect).abs() < 1e-3, "pred {pred}");
+    }
+
+    #[test]
+    fn regularization_shrinks_weights() {
+        let mut rng = SimRng::from_seed(2);
+        let rows: Vec<Vec<f64>> = (0..50)
+            .map(|_| (0..4).map(|_| rng.standard_normal()).collect())
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|r| 5.0 * r[0]).collect();
+        let x = Matrix::from_rows(&rows);
+        let loose = Ridge::fit(&x, &y, 1e-8).unwrap();
+        let tight = Ridge::fit(&x, &y, 100.0).unwrap();
+        assert!(tight.weights()[(0, 0)].abs() < loose.weights()[(0, 0)].abs());
+    }
+
+    #[test]
+    fn multi_output_fits_independent_targets() {
+        let mut rng = SimRng::from_seed(3);
+        let rows: Vec<Vec<f64>> = (0..100)
+            .map(|_| (0..2).map(|_| rng.standard_normal()).collect())
+            .collect();
+        let y_rows: Vec<Vec<f64>> = rows.iter().map(|r| vec![r[0] * 2.0, r[1] * -3.0]).collect();
+        let x = Matrix::from_rows(&rows);
+        let y = Matrix::from_rows(&y_rows);
+        let model = Ridge::fit_multi(&x, &y, 1e-8, true).unwrap();
+        let p = model.predict(&[1.0, 1.0]);
+        assert!((p[0] - 2.0).abs() < 1e-3);
+        assert!((p[1] + 3.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn intercept_handles_offset_targets() {
+        let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 10.0]).collect();
+        let y: Vec<f64> = rows.iter().map(|r| 100.0 + r[0]).collect();
+        let x = Matrix::from_rows(&rows);
+        let model = Ridge::fit(&x, &y, 1e-6).unwrap();
+        assert!((model.predict_scalar(&[0.0]) - 100.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn collinear_features_do_not_crash() {
+        // Two identical columns: singular Gram, saved by jitter/ridge.
+        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, i as f64]).collect();
+        let y: Vec<f64> = (0..10).map(|i| i as f64).collect();
+        let x = Matrix::from_rows(&rows);
+        let model = Ridge::fit(&x, &y, 1e-4).unwrap();
+        assert!((model.predict_scalar(&[5.0, 5.0]) - 5.0).abs() < 0.1);
+    }
+}

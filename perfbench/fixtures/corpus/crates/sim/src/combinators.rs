@@ -1,0 +1,356 @@
+//! Future combinators for simulated actors.
+//!
+//! Small, allocation-light helpers: racing a future against a deadline
+//! ([`Sim::timeout`]), racing two futures ([`select2`]), awaiting many
+//! ([`join_all`]), periodic ticks ([`Interval`]), and a reusable
+//! [`Barrier`]. All operate purely in virtual time.
+
+use crate::executor::{Sim, Sleep};
+use std::cell::RefCell;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Poll, Waker};
+use std::time::Duration;
+
+/// Outcome of [`select2`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Either<A, B> {
+    /// The first future finished first.
+    Left(A),
+    /// The second future finished first.
+    Right(B),
+}
+
+/// Races two futures; the loser is dropped.
+///
+/// Polling order is deterministic: `a` is polled before `b` at every
+/// step, so simultaneous readiness resolves to `Left`.
+pub async fn select2<A, B>(a: A, b: B) -> Either<A::Output, B::Output>
+where
+    A: Future + Unpin,
+    B: Future + Unpin,
+{
+    let mut a = a;
+    let mut b = b;
+    std::future::poll_fn(move |cx| {
+        if let Poll::Ready(v) = Pin::new(&mut a).poll(cx) {
+            return Poll::Ready(Either::Left(v));
+        }
+        if let Poll::Ready(v) = Pin::new(&mut b).poll(cx) {
+            return Poll::Ready(Either::Right(v));
+        }
+        Poll::Pending
+    })
+    .await
+}
+
+/// Error returned by [`Sim::timeout`] when the deadline fires first.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Elapsed;
+
+impl Sim {
+    /// Limits `fut` to `d` of virtual time.
+    pub async fn timeout<F>(&self, d: Duration, fut: F) -> Result<F::Output, Elapsed>
+    where
+        F: Future + Unpin,
+    {
+        match select2(fut, self.sleep(d)).await {
+            Either::Left(v) => Ok(v),
+            Either::Right(()) => Err(Elapsed),
+        }
+    }
+
+    /// A periodic ticker with the first tick after one period.
+    pub fn interval(&self, period: Duration) -> Interval {
+        assert!(period > Duration::ZERO, "interval period must be positive");
+        Interval { sim: self.clone(), period, sleep: None }
+    }
+}
+
+/// Awaits all futures, returning outputs in input order.
+pub async fn join_all<F: Future + Unpin>(futs: Vec<F>) -> Vec<F::Output> {
+    let mut slots: Vec<Option<F::Output>> = futs.iter().map(|_| None).collect();
+    let mut futs: Vec<Option<F>> = futs.into_iter().map(Some).collect();
+    std::future::poll_fn(move |cx| {
+        let mut pending = false;
+        for (slot, fut) in slots.iter_mut().zip(futs.iter_mut()) {
+            if let Some(f) = fut {
+                match Pin::new(f).poll(cx) {
+                    Poll::Ready(v) => {
+                        *slot = Some(v);
+                        *fut = None;
+                    }
+                    Poll::Pending => pending = true,
+                }
+            }
+        }
+        if pending {
+            Poll::Pending
+        } else {
+            // hetlint: allow(r5) — every slot was filled on the branch that cleared
+            // `pending`; an empty slot here is join_all corrupting its own state.
+            Poll::Ready(slots.iter_mut().map(|s| s.take().expect("filled")).collect())
+        }
+    })
+    .await
+}
+
+/// Periodic ticker created by [`Sim::interval`].
+pub struct Interval {
+    sim: Sim,
+    period: Duration,
+    sleep: Option<Sleep>,
+}
+
+impl Interval {
+    /// Awaits the next tick.
+    pub async fn tick(&mut self) {
+        let sleep = self.sleep.take().unwrap_or_else(|| self.sim.sleep(self.period));
+        sleep.await;
+        self.sleep = Some(self.sim.sleep(self.period));
+    }
+}
+
+struct BarrierState {
+    needed: usize,
+    arrived: usize,
+    generation: u64,
+    wakers: Vec<Waker>,
+}
+
+/// A reusable barrier for `n` tasks.
+#[derive(Clone)]
+pub struct Barrier {
+    state: Rc<RefCell<BarrierState>>,
+}
+
+/// Returned by [`Barrier::wait`]; exactly one waiter per generation is
+/// the leader.
+#[derive(Debug, PartialEq, Eq)]
+pub struct BarrierWaitResult {
+    /// True for the task that completed the barrier.
+    pub is_leader: bool,
+}
+
+impl Barrier {
+    /// Creates a barrier for `n` tasks (n ≥ 1).
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1);
+        Barrier {
+            state: Rc::new(RefCell::new(BarrierState {
+                needed: n,
+                arrived: 0,
+                generation: 0,
+                wakers: Vec::new(),
+            })),
+        }
+    }
+
+    /// Waits for all `n` tasks to arrive; the last arrival releases
+    /// everyone and is the leader.
+    pub async fn wait(&self) -> BarrierWaitResult {
+        let my_gen;
+        {
+            let mut s = self.state.borrow_mut();
+            my_gen = s.generation;
+            s.arrived += 1;
+            if s.arrived == s.needed {
+                s.arrived = 0;
+                s.generation += 1;
+                for w in s.wakers.drain(..) {
+                    w.wake();
+                }
+                return BarrierWaitResult { is_leader: true };
+            }
+        }
+        std::future::poll_fn(|cx| {
+            let mut s = self.state.borrow_mut();
+            if s.generation > my_gen {
+                Poll::Ready(())
+            } else {
+                s.wakers.push(cx.waker().clone());
+                Poll::Pending
+            }
+        })
+        .await;
+        BarrierWaitResult { is_leader: false }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::secs;
+    use crate::SimTime;
+    use std::cell::Cell;
+
+    #[test]
+    fn select2_prefers_earlier() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let fast = s.sleep(secs(1.0));
+            let slow = s.sleep(secs(2.0));
+            match select2(slow, fast).await {
+                Either::Left(()) => "slow",
+                Either::Right(()) => "fast",
+            }
+        });
+        assert_eq!(sim.block_on(h), "fast");
+        assert_eq!(sim.now(), SimTime::from_secs(1), "loser must not hold the clock");
+    }
+
+    #[test]
+    fn select2_simultaneous_is_left_biased() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let a = s.sleep(secs(1.0));
+            let b = s.sleep(secs(1.0));
+            select2(a, b).await
+        });
+        assert_eq!(sim.block_on(h), Either::Left(()));
+    }
+
+    #[test]
+    fn timeout_passes_fast_futures() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let work = s.sleep(secs(1.0));
+            s.timeout(secs(5.0), work).await
+        });
+        assert_eq!(sim.block_on(h), Ok(()));
+        assert_eq!(sim.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn timeout_cuts_slow_futures() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let work = s.sleep(secs(100.0));
+            s.timeout(secs(5.0), work).await
+        });
+        assert_eq!(sim.block_on(h), Err(Elapsed));
+        // The abandoned sleep must not drag the clock to t=100.
+        let r = sim.run();
+        assert_eq!(r.end, SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn join_all_waits_for_slowest_in_parallel() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let handles: Vec<_> = (1..=4u64)
+                .map(|i| {
+                    let s2 = s.clone();
+                    s.spawn(async move {
+                        s2.sleep(secs(i as f64)).await;
+                        i * 10
+                    })
+                })
+                .collect();
+            join_all(handles).await
+        });
+        assert_eq!(sim.block_on(h), vec![10, 20, 30, 40]);
+        assert_eq!(sim.now(), SimTime::from_secs(4), "parallel, not additive");
+    }
+
+    #[test]
+    fn join_all_empty() {
+        let sim = Sim::new();
+        let h = sim.spawn(async move {
+            let empty: Vec<crate::JoinHandle<u32>> = Vec::new();
+            join_all(empty).await
+        });
+        assert_eq!(sim.block_on(h), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn interval_ticks_regularly() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let mut iv = s.interval(secs(10.0));
+            let mut stamps = Vec::new();
+            for _ in 0..3 {
+                iv.tick().await;
+                stamps.push(s.now());
+            }
+            stamps
+        });
+        assert_eq!(
+            sim.block_on(h),
+            vec![SimTime::from_secs(10), SimTime::from_secs(20), SimTime::from_secs(30)]
+        );
+    }
+
+    #[test]
+    fn interval_unaffected_by_work_between_ticks() {
+        // Ticks are scheduled from the previous deadline, not from when
+        // tick() is called, so slow work does not accumulate drift
+        // (unless it exceeds the period).
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let mut iv = s.interval(secs(10.0));
+            iv.tick().await;
+            s.sleep(secs(3.0)).await; // work
+            iv.tick().await;
+            s.now()
+        });
+        assert_eq!(sim.block_on(h), SimTime::from_secs(20));
+    }
+
+    #[test]
+    fn barrier_releases_all_at_once() {
+        let sim = Sim::new();
+        let barrier = Barrier::new(3);
+        let leaders = Rc::new(Cell::new(0));
+        let releases = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3u64 {
+            let b = barrier.clone();
+            let s = sim.clone();
+            let leaders = Rc::clone(&leaders);
+            let releases = Rc::clone(&releases);
+            sim.spawn(async move {
+                s.sleep(secs(i as f64)).await;
+                let r = b.wait().await;
+                if r.is_leader {
+                    leaders.set(leaders.get() + 1);
+                }
+                releases.borrow_mut().push(s.now());
+            });
+        }
+        sim.run();
+        assert_eq!(leaders.get(), 1);
+        let releases = releases.borrow();
+        assert_eq!(releases.len(), 3);
+        assert!(releases.iter().all(|&t| t == SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn barrier_is_reusable() {
+        let sim = Sim::new();
+        let barrier = Barrier::new(2);
+        let s = sim.clone();
+        let b1 = barrier.clone();
+        let h = sim.spawn(async move {
+            b1.wait().await;
+            b1.wait().await;
+            s.now()
+        });
+        let s2 = sim.clone();
+        let b2 = barrier;
+        sim.spawn(async move {
+            s2.sleep(secs(1.0)).await;
+            b2.wait().await;
+            s2.sleep(secs(1.0)).await;
+            b2.wait().await;
+        });
+        assert_eq!(sim.block_on(h), SimTime::from_secs(2));
+    }
+}

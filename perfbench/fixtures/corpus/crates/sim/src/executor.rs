@@ -1,0 +1,1426 @@
+//! Single-threaded async executor over virtual time.
+//!
+//! Every actor in the system — thinker agents, task servers, FaaS
+//! endpoints, workers, transfer services — is an async task spawned on a
+//! [`Sim`]. Awaiting [`Sim::sleep`] advances the virtual clock instead of
+//! wall time; the run loop polls all runnable tasks, then jumps the clock
+//! to the next timer. Execution is deterministic: tasks are polled in FIFO
+//! wake order and timers fire in `(deadline, registration order)` order.
+//!
+//! ## Timer store
+//!
+//! Timers live in a hierarchical calendar queue ([`TimerWheel`]): 11
+//! levels of 64 slots, level `L` spanning `64^L` ns per slot, with an
+//! occupancy bitmap per level. Insert and cancel are O(1); finding the
+//! next timer scans 11 bitmaps and cascades at most a handful of buckets.
+//! Firing order is *exactly* the old binary-heap order — the global
+//! lexicographic minimum of `(deadline, tie, registration seq)` — which
+//! the property test below checks against a heap reference under random
+//! insert/cancel/advance scripts. Two details keep the wheel honest:
+//!
+//! * **Eager cancellation.** A dropped [`Sleep`] removes its entry from
+//!   its bucket immediately (the slab records which bucket), so the pop
+//!   path never wades through tombstones.
+//! * **Backlog heap.** Peeking the next deadline cascades buckets and
+//!   advances the wheel cursor up to the minimum pending deadline; if
+//!   [`Sim::run_until`] then truncates the clock *below* the cursor, a
+//!   subsequently registered near-term timer would land behind the
+//!   cursor. Those (rare) entries go to a small binary heap that is
+//!   merged by `(deadline, tie, seq)` at pop time.
+
+use crate::rng::SimRng;
+use crate::time::SimTime;
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
+use std::time::Duration;
+
+/// Task ids pack a slab index and a generation so a recycled slot never
+/// mistakes a stale wake-up for its own.
+type TaskId = u64;
+type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+
+#[inline]
+fn pack_task(idx: u32, gen: u32) -> TaskId {
+    (u64::from(gen) << 32) | u64::from(idx)
+}
+
+#[inline]
+fn unpack_task(id: TaskId) -> (u32, u32) {
+    (id as u32, (id >> 32) as u32)
+}
+
+/// Ready-ring capacity. Must be a power of two. 1024 runnable tasks at
+/// one instant covers every current workload; bursts beyond it spill to
+/// the overflow deque and merely pay the old lock cost.
+const READY_CAP: usize = 1024;
+
+/// FIFO queue of runnable task ids, shared with wakers.
+///
+/// `Waker` must be `Send + Sync` by type even though this executor never
+/// leaves its thread, so the wake path cannot use a `RefCell`. An
+/// uncontended `Mutex` push+pop cycle costs ~40 ns on the hot path
+/// (~25 cycles per simulated task), so the common path is a bounded
+/// atomic MPSC ring instead (~17 ns per cycle); a mutexed deque absorbs
+/// bursts that outrun the ring. Global FIFO order — the order the trace
+/// digests pin — is preserved across the spill: once anything has
+/// spilled, *all* pushes go to the overflow until the consumer drains
+/// it empty, so no late ring entry can overtake an earlier spilled one.
+///
+/// Slots store `id + 1` so 0 can mean "empty"; ids cannot reach
+/// `u64::MAX` because the slab index half is bounded by live memory.
+struct ReadyQueue {
+    ring: Box<[AtomicU64]>,
+    /// Consumer cursor. Only `pop` (executor thread) advances it.
+    head: AtomicUsize,
+    /// Producer cursor. Advanced by CAS so a full ring is never
+    /// over-reserved.
+    tail: AtomicUsize,
+    /// True while `overflow` holds entries; forces pushes to the
+    /// overflow so FIFO order survives the spill.
+    spilled: AtomicBool,
+    overflow: Mutex<std::collections::VecDeque<TaskId>>,
+}
+
+impl Default for ReadyQueue {
+    fn default() -> Self {
+        ReadyQueue {
+            ring: (0..READY_CAP).map(|_| AtomicU64::new(0)).collect(),
+            head: AtomicUsize::new(0),
+            tail: AtomicUsize::new(0),
+            spilled: AtomicBool::new(false),
+            overflow: Mutex::new(std::collections::VecDeque::new()),
+        }
+    }
+}
+
+impl ReadyQueue {
+    fn push(&self, id: TaskId) {
+        if !self.spilled.load(Ordering::Acquire) {
+            let mut tail = self.tail.load(Ordering::Relaxed);
+            loop {
+                let head = self.head.load(Ordering::Acquire);
+                if tail.wrapping_sub(head) >= READY_CAP {
+                    break; // ring full: spill
+                }
+                match self.tail.compare_exchange_weak(
+                    tail,
+                    tail.wrapping_add(1),
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        self.ring[tail & (READY_CAP - 1)]
+                            .store(id.wrapping_add(1), Ordering::Release);
+                        return;
+                    }
+                    Err(t) => tail = t,
+                }
+            }
+        }
+        // A poisoned lock is harmless here: the deque holds plain task
+        // ids, so a panic mid-push leaves no broken invariant. Eat the
+        // poison instead of double-panicking on the wake path.
+        let mut ov = self
+            .overflow
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        ov.push_back(id);
+        self.spilled.store(true, Ordering::Release);
+    }
+
+    fn pop(&self) -> Option<TaskId> {
+        let head = self.head.load(Ordering::Relaxed);
+        if head != self.tail.load(Ordering::Acquire) {
+            let slot = &self.ring[head & (READY_CAP - 1)];
+            loop {
+                let v = slot.swap(0, Ordering::AcqRel);
+                if v != 0 {
+                    self.head.store(head.wrapping_add(1), Ordering::Release);
+                    return Some(v.wrapping_sub(1));
+                }
+                // A producer reserved this slot but has not published
+                // yet; its store is at most an instruction away.
+                std::hint::spin_loop();
+            }
+        }
+        if self.spilled.load(Ordering::Acquire) {
+            let mut ov = self
+                .overflow
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let v = ov.pop_front();
+            if ov.is_empty() {
+                self.spilled.store(false, Ordering::Release);
+            }
+            return v;
+        }
+        None
+    }
+}
+
+struct TaskWaker {
+    /// Atomic only because `Waker` demands `Sync`: the id is rewritten
+    /// when a recycled slot reuses this allocation for its next tenant.
+    id: AtomicU64,
+    ready: Arc<ReadyQueue>,
+}
+
+impl Wake for TaskWaker {
+    fn wake(self: Arc<Self>) {
+        self.ready.push(self.id.load(Ordering::Relaxed));
+    }
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.ready.push(self.id.load(Ordering::Relaxed));
+    }
+}
+
+/// One task slot: the future (taken out while being polled) plus a
+/// cached waker. The waker is allocated once per task at spawn; every
+/// `cx.waker().clone()` a future performs is then just an `Arc` refcount
+/// bump instead of a fresh allocation per poll.
+struct TaskSlot {
+    gen: u32,
+    fut: Option<LocalFuture>,
+    waker: Waker,
+    /// The same allocation `waker` wraps, kept so slot reuse can rewrite
+    /// the packed id in place instead of allocating a fresh `Arc` — but
+    /// only when no outstanding clone could misdirect a stale wake (see
+    /// the strong-count check in [`Sim::spawn`]).
+    waker_arc: Arc<TaskWaker>,
+}
+
+#[derive(Default)]
+struct TaskSlab {
+    slots: Vec<TaskSlot>,
+    free: Vec<u32>,
+}
+
+// ---------------------------------------------------------------------
+// Timer wheel
+// ---------------------------------------------------------------------
+
+const LEVEL_BITS: usize = 6;
+const SLOTS: usize = 1 << LEVEL_BITS; // 64
+/// 11 levels × 6 bits = 66 bits ≥ the 64-bit nanosecond clock, so the
+/// wheel covers the entire representable time range with no overflow
+/// bucket.
+const LEVELS: usize = 11;
+
+/// Handle to a registered timer: slab index + generation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct TimerHandle {
+    idx: u32,
+    gen: u32,
+}
+
+/// Where a live timer currently sits.
+#[derive(Clone, Copy, Debug)]
+enum Loc {
+    /// In `buckets[level * SLOTS + slot]`.
+    Wheel { level: u8, slot: u8 },
+    /// In the behind-cursor backlog heap (removed lazily via gen check).
+    Backlog,
+    /// Popped and woken; the slab slot lingers until the `Sleep` drops.
+    Fired,
+    /// On the free list.
+    Free,
+}
+
+struct TimerSlot {
+    gen: u32,
+    loc: Loc,
+    waker: Option<Waker>,
+}
+
+#[derive(Clone, Copy)]
+struct WheelEntry {
+    at: u64,
+    /// Tie-break among equal deadlines. Zero in normal operation (so
+    /// `seq` — registration order — decides); a seeded random draw in
+    /// [`Sim::set_tie_shuffle`] mode, which perturbs the firing order of
+    /// exactly the timers whose order the determinism contract says must
+    /// not matter.
+    tie: u64,
+    seq: u64,
+    idx: u32,
+}
+
+/// Backlog key: `(at, tie, seq, idx, gen)` — ordered exactly like the
+/// old binary-heap key so merged pops keep the seed tree's firing order.
+type BacklogKey = (u64, u64, u64, u32, u32);
+
+/// What [`TimerWheel::pop`] fired.
+struct Fired {
+    at: u64,
+    #[cfg_attr(not(test), allow(dead_code))]
+    tie: u64,
+    #[cfg_attr(not(test), allow(dead_code))]
+    seq: u64,
+    waker: Option<Waker>,
+}
+
+struct TimerWheel {
+    slab: Vec<TimerSlot>,
+    free: Vec<u32>,
+    /// Wheel cursor: every wheel-resident entry has `at >= elapsed`, and
+    /// `elapsed` never exceeds the minimum pending deadline.
+    elapsed: u64,
+    occ: [u64; LEVELS],
+    buckets: Vec<Vec<WheelEntry>>,
+    backlog: BinaryHeap<Reverse<BacklogKey>>,
+}
+
+impl Default for TimerWheel {
+    fn default() -> Self {
+        TimerWheel {
+            slab: Vec::new(),
+            free: Vec::new(),
+            elapsed: 0,
+            occ: [0; LEVELS],
+            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            backlog: BinaryHeap::new(),
+        }
+    }
+}
+
+/// The level whose slot granularity separates `at` from `elapsed`: the
+/// highest 6-bit group where they differ (0 when equal).
+#[inline]
+fn level_for(elapsed: u64, at: u64) -> usize {
+    let masked = (elapsed ^ at) | (SLOTS as u64 - 1);
+    ((63 - masked.leading_zeros()) as usize) / LEVEL_BITS
+}
+
+impl TimerWheel {
+    fn register(&mut self, at: u64, tie: u64, seq: u64) -> TimerHandle {
+        let idx = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                let i = self.slab.len() as u32;
+                self.slab.push(TimerSlot { gen: 0, loc: Loc::Free, waker: None });
+                i
+            }
+        };
+        let gen = self.slab[idx as usize].gen;
+        if at < self.elapsed {
+            // Behind the cursor (peek cascaded past the clock, then the
+            // clock was truncated): heap it, merge at pop time.
+            self.backlog.push(Reverse((at, tie, seq, idx, gen)));
+            self.slab[idx as usize].loc = Loc::Backlog;
+        } else {
+            self.place(WheelEntry { at, tie, seq, idx });
+        }
+        TimerHandle { idx, gen }
+    }
+
+    /// Inserts a wheel entry at its level/slot and records the location
+    /// in the slab (for eager cancellation).
+    fn place(&mut self, e: WheelEntry) {
+        debug_assert!(e.at >= self.elapsed);
+        let l = level_for(self.elapsed, e.at);
+        let s = ((e.at >> (LEVEL_BITS * l)) & (SLOTS as u64 - 1)) as usize;
+        self.buckets[l * SLOTS + s].push(e);
+        self.occ[l] |= 1u64 << s;
+        self.slab[e.idx as usize].loc = Loc::Wheel { level: l as u8, slot: s as u8 };
+    }
+
+    /// First instant covered by slot `s` of level `l`, relative to the
+    /// cursor's position on the coarser levels.
+    #[inline]
+    fn slot_start(&self, l: usize, s: usize) -> u64 {
+        let high_shift = LEVEL_BITS * (l + 1);
+        let high = if high_shift >= 64 {
+            0
+        } else {
+            (self.elapsed >> high_shift) << high_shift
+        };
+        high | ((s as u64) << (LEVEL_BITS * l))
+    }
+
+    /// Cascades until the minimum pending wheel entry sits in a level-0
+    /// bucket; returns that bucket's index (level-0 buckets hold entries
+    /// of a single deadline). Advances `elapsed` to the minimum pending
+    /// deadline as a side effect. `None` when the wheel is empty.
+    fn settle_min(&mut self) -> Option<usize> {
+        loop {
+            let mut best: Option<(usize, usize, u64)> = None;
+            for l in 0..LEVELS {
+                if self.occ[l] == 0 {
+                    continue;
+                }
+                let cur = ((self.elapsed >> (LEVEL_BITS * l)) & (SLOTS as u64 - 1)) as u32;
+                let masked = self.occ[l] & (!0u64 << cur);
+                debug_assert_ne!(masked, 0, "wheel entry behind cursor at level {l}");
+                let bits = if masked != 0 { masked } else { self.occ[l] };
+                let s = bits.trailing_zeros() as usize;
+                let start = self.slot_start(l, s);
+                let better = match best {
+                    None => true,
+                    // On equal starts prefer the coarser level: its
+                    // entries may tie with the fine bucket and must be
+                    // cascaded down before the minimum can be read.
+                    Some((bl, _, bstart)) => start < bstart || (start == bstart && l > bl),
+                };
+                if better {
+                    best = Some((l, s, start));
+                }
+            }
+            let (l, s, start) = best?;
+            self.elapsed = self.elapsed.max(start);
+            if l == 0 {
+                return Some(s);
+            }
+            // Cascade: with the cursor advanced to the slot start, every
+            // entry here now agrees with `elapsed` on all groups >= l and
+            // re-places at a strictly lower level.
+            self.occ[l] &= !(1u64 << s);
+            let mut moved = std::mem::take(&mut self.buckets[l * SLOTS + s]);
+            for e in moved.drain(..) {
+                debug_assert!(level_for(self.elapsed, e.at) < l);
+                self.place(e);
+            }
+            // Hand the drained allocation back so the bucket keeps its
+            // capacity across cascades.
+            self.buckets[l * SLOTS + s] = moved;
+        }
+    }
+
+    /// Minimum live backlog key, discarding stale (released) entries.
+    fn backlog_peek(&mut self) -> Option<(u64, u64, u64, u32)> {
+        while let Some(&Reverse((at, tie, seq, idx, gen))) = self.backlog.peek() {
+            if self.slab[idx as usize].gen == gen {
+                debug_assert!(matches!(self.slab[idx as usize].loc, Loc::Backlog));
+                return Some((at, tie, seq, idx));
+            }
+            self.backlog.pop();
+        }
+        None
+    }
+
+    /// Earliest pending deadline, or `None`.
+    fn peek(&mut self) -> Option<u64> {
+        let wheel = self.settle_min().map(|s| self.buckets[s][0].at);
+        let backlog = self.backlog_peek().map(|(at, ..)| at);
+        match (wheel, backlog) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Fires the globally minimum `(at, tie, seq)` pending timer.
+    fn pop(&mut self) -> Option<Fired> {
+        let wheel = self.settle_min().map(|s| {
+            let b = &self.buckets[s];
+            let mut mi = 0;
+            for i in 1..b.len() {
+                if (b[i].tie, b[i].seq) < (b[mi].tie, b[mi].seq) {
+                    mi = i;
+                }
+            }
+            (s, mi)
+        });
+        let backlog = self.backlog_peek();
+        match (wheel, backlog) {
+            (None, None) => None,
+            (Some((s, mi)), None) => Some(self.pop_wheel(s, mi)),
+            (None, Some((at, _, _, idx))) => Some(self.pop_backlog(at, idx)),
+            (Some((s, mi)), Some((bat, btie, bseq, bidx))) => {
+                let e = self.buckets[s][mi];
+                if (e.at, e.tie, e.seq) <= (bat, btie, bseq) {
+                    Some(self.pop_wheel(s, mi))
+                } else {
+                    Some(self.pop_backlog(bat, bidx))
+                }
+            }
+        }
+    }
+
+    fn pop_wheel(&mut self, s: usize, mi: usize) -> Fired {
+        let e = self.buckets[s].swap_remove(mi);
+        if self.buckets[s].is_empty() {
+            self.occ[0] &= !(1u64 << s);
+        }
+        self.elapsed = e.at;
+        let slot = &mut self.slab[e.idx as usize];
+        slot.loc = Loc::Fired;
+        Fired { at: e.at, tie: e.tie, seq: e.seq, waker: slot.waker.take() }
+    }
+
+    fn pop_backlog(&mut self, at: u64, idx: u32) -> Fired {
+        let (tie, seq) = match self.backlog.pop() {
+            Some(Reverse((_, tie, seq, _, _))) => (tie, seq),
+            None => (0, 0), // unreachable: caller just peeked it
+        };
+        let slot = &mut self.slab[idx as usize];
+        slot.loc = Loc::Fired;
+        Fired { at, tie, seq, waker: slot.waker.take() }
+    }
+
+    /// True once the timer has fired (the owning `Sleep` may then resolve).
+    fn is_fired(&self, h: TimerHandle) -> bool {
+        let slot = &self.slab[h.idx as usize];
+        slot.gen == h.gen && matches!(slot.loc, Loc::Fired)
+    }
+
+    fn set_waker(&mut self, h: TimerHandle, w: Waker) {
+        let slot = &mut self.slab[h.idx as usize];
+        if slot.gen == h.gen {
+            slot.waker = Some(w);
+        }
+    }
+
+    /// Releases a handle: cancels the timer if still pending (eagerly
+    /// removing wheel entries) and frees the slab slot.
+    fn release(&mut self, h: TimerHandle) {
+        let Some(slot) = self.slab.get_mut(h.idx as usize) else { return };
+        if slot.gen != h.gen {
+            return;
+        }
+        let loc = slot.loc;
+        match loc {
+            Loc::Wheel { level, slot: s } => {
+                let b = &mut self.buckets[level as usize * SLOTS + s as usize];
+                if let Some(pos) = b.iter().position(|e| e.idx == h.idx) {
+                    b.swap_remove(pos);
+                }
+                if b.is_empty() {
+                    self.occ[level as usize] &= !(1u64 << s);
+                }
+            }
+            // Backlog keys are discarded lazily via the gen check.
+            Loc::Backlog | Loc::Fired | Loc::Free => {}
+        }
+        let slot = &mut self.slab[h.idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.loc = Loc::Free;
+        slot.waker = None;
+        self.free.push(h.idx);
+    }
+}
+
+struct Core {
+    now: Cell<SimTime>,
+    next_timer_seq: Cell<u64>,
+    timers: RefCell<TimerWheel>,
+    ready: Arc<ReadyQueue>,
+    tasks: RefCell<TaskSlab>,
+    /// Spawned-but-unfinished tasks (futures out being polled included).
+    live_tasks: Cell<usize>,
+    polls: Cell<u64>,
+    timer_fires: Cell<u64>,
+    tie_shuffle: RefCell<Option<SimRng>>,
+}
+
+/// Summary of a completed [`Sim::run`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunReport {
+    /// Clock value when the run stopped.
+    pub end: SimTime,
+    /// Total future polls performed.
+    pub polls: u64,
+    /// Timers that fired.
+    pub timer_fires: u64,
+    /// Tasks still pending when the run stopped. Nonzero after a full
+    /// [`Sim::run`] means some actor is blocked on an event that can never
+    /// occur — usually a workflow bug.
+    pub pending_tasks: usize,
+}
+
+/// Handle to the simulation: clock, spawner, and timer source.
+///
+/// Cheap to clone; every actor captures one.
+#[derive(Clone)]
+pub struct Sim {
+    core: Rc<Core>,
+}
+
+impl Default for Sim {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sim {
+    /// Creates an empty simulation at t=0.
+    pub fn new() -> Self {
+        Sim {
+            core: Rc::new(Core {
+                now: Cell::new(SimTime::ZERO),
+                next_timer_seq: Cell::new(0),
+                timers: RefCell::new(TimerWheel::default()),
+                ready: Arc::new(ReadyQueue::default()),
+                tasks: RefCell::new(TaskSlab::default()),
+                live_tasks: Cell::new(0),
+                polls: Cell::new(0),
+                timer_fires: Cell::new(0),
+                tie_shuffle: RefCell::new(None),
+            }),
+        }
+    }
+
+    /// Enables schedule-perturbation mode: timers registered from now on
+    /// get a seeded random tie-break that decides firing order among
+    /// *equal* deadlines (unequal deadlines still fire in time order).
+    ///
+    /// The determinism contract promises that nothing observable depends
+    /// on the FIFO order of same-instant timers — actors that collide at
+    /// one instant must be logically independent. This mode is the
+    /// runtime sanitizer for that claim: run the same seed under several
+    /// shuffle seeds and assert the `Tracer::digest` is invariant. A
+    /// digest change pinpoints a hidden same-timestamp ordering
+    /// dependency — a race no token-level or call-graph rule can see.
+    ///
+    /// The shuffle stream is internal to the executor and consumes no
+    /// draws from any workload stream, so enabling it never perturbs
+    /// workload randomness.
+    pub fn set_tie_shuffle(&self, seed: u64) {
+        *self.core.tie_shuffle.borrow_mut() =
+            Some(SimRng::stream(seed, "executor-tie-shuffle"));
+    }
+
+    /// Creates a simulation with tie-shuffle mode enabled from t=0.
+    pub fn with_tie_shuffle(seed: u64) -> Self {
+        let sim = Sim::new();
+        sim.set_tie_shuffle(seed);
+        sim
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.core.now.get()
+    }
+
+    /// Spawns an async task; it becomes runnable immediately.
+    ///
+    /// Returns a [`JoinHandle`] that resolves to the task's output.
+    pub fn spawn<F>(&self, fut: F) -> JoinHandle<F::Output>
+    where
+        F: Future + 'static,
+        F::Output: 'static,
+    {
+        let state = Rc::new(RefCell::new(JoinState { result: None, waker: None }));
+        let state2 = Rc::clone(&state);
+        self.spawn_boxed(Box::pin(async move {
+            let out = fut.await;
+            let mut s = state2.borrow_mut();
+            s.result = Some(out);
+            if let Some(w) = s.waker.take() {
+                w.wake();
+            }
+        }));
+        JoinHandle { state }
+    }
+
+    /// Spawns a fire-and-forget task: no [`JoinHandle`], so nothing is
+    /// allocated beyond the boxed future itself. The per-task actors the
+    /// fabrics launch (delivery legs, result returns, watchdogs) never
+    /// join their children — this is their hot path.
+    pub fn spawn_detached<F>(&self, fut: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.spawn_boxed(Box::pin(fut));
+    }
+
+    fn spawn_boxed(&self, wrapped: LocalFuture) {
+        let id = {
+            let mut tasks = self.core.tasks.borrow_mut();
+            match tasks.free.pop() {
+                Some(idx) => {
+                    let gen = tasks.slots[idx as usize].gen;
+                    let id = pack_task(idx, gen);
+                    let slot = &mut tasks.slots[idx as usize];
+                    slot.fut = Some(wrapped);
+                    // Strong count 2 = exactly {slot.waker_arc, slot.waker}:
+                    // no clone of the previous tenant's waker survives, so
+                    // rewriting the id in place cannot misdirect a stale
+                    // wake and the allocation is reused as-is. Any larger
+                    // count means an old clone is still out there (parked
+                    // in a timer or channel); it must keep waking the old
+                    // id, so the new tenant gets a fresh allocation.
+                    if Arc::strong_count(&slot.waker_arc) == 2 {
+                        slot.waker_arc.id.store(id, Ordering::Relaxed);
+                    } else {
+                        let arc = Arc::new(TaskWaker {
+                            id: AtomicU64::new(id),
+                            ready: Arc::clone(&self.core.ready),
+                        });
+                        slot.waker = Waker::from(Arc::clone(&arc));
+                        slot.waker_arc = arc;
+                    }
+                    id
+                }
+                None => {
+                    let idx = tasks.slots.len() as u32;
+                    let id = pack_task(idx, 0);
+                    let arc = Arc::new(TaskWaker {
+                        id: AtomicU64::new(id),
+                        ready: Arc::clone(&self.core.ready),
+                    });
+                    tasks.slots.push(TaskSlot {
+                        gen: 0,
+                        fut: Some(wrapped),
+                        waker: Waker::from(Arc::clone(&arc)),
+                        waker_arc: arc,
+                    });
+                    id
+                }
+            }
+        };
+        self.core.live_tasks.set(self.core.live_tasks.get() + 1);
+        self.core.ready.push(id);
+    }
+
+    /// Returns a future that completes after `d` of virtual time.
+    pub fn sleep(&self, d: Duration) -> Sleep {
+        Sleep {
+            sim: self.clone(),
+            deadline: self.now() + d,
+            handle: None,
+        }
+    }
+
+    /// Returns a future that completes at the absolute instant `at`
+    /// (immediately if `at` is in the past).
+    pub fn sleep_until(&self, at: SimTime) -> Sleep {
+        Sleep { sim: self.clone(), deadline: at, handle: None }
+    }
+
+    /// Yields once, letting every currently runnable task proceed before
+    /// this one resumes (at the same instant).
+    pub fn yield_now(&self) -> YieldNow {
+        YieldNow { sim: self.clone(), polled: false }
+    }
+
+    /// Registers a timer and arms its waker in a single pass over the
+    /// wheel — the sleep hot path calls this once per await instead of
+    /// borrowing the timer store twice.
+    fn register_timer_with(&self, at: SimTime, waker: Waker) -> TimerHandle {
+        let seq = self.core.next_timer_seq.get();
+        self.core.next_timer_seq.set(seq + 1);
+        let tie = match self.core.tie_shuffle.borrow_mut().as_mut() {
+            Some(rng) => rng.next_u64(),
+            None => 0,
+        };
+        let mut timers = self.core.timers.borrow_mut();
+        let h = timers.register(at.as_nanos(), tie, seq);
+        timers.set_waker(h, waker);
+        h
+    }
+
+    /// Polls every runnable task until none is runnable at the current
+    /// instant. Does not advance the clock. Returns the number of polls.
+    fn drain_ready(&self) -> u64 {
+        let mut polls = 0;
+        while let Some(id) = self.core.ready.pop() {
+            let (idx, gen) = unpack_task(id);
+            // Take the future out of its slot while polling so the slab
+            // is free for re-entrant spawns; clone the cached waker (an
+            // Arc refcount bump, not an allocation).
+            let (mut fut, waker) = {
+                let mut tasks = self.core.tasks.borrow_mut();
+                let Some(slot) = tasks.slots.get_mut(idx as usize) else {
+                    continue;
+                };
+                if slot.gen != gen {
+                    continue; // completed task woken again: spurious, ignore
+                }
+                let Some(fut) = slot.fut.take() else {
+                    continue; // woken while already being polled
+                };
+                (fut, slot.waker.clone())
+            };
+            let mut cx = Context::from_waker(&waker);
+            polls += 1;
+            self.core.polls.set(self.core.polls.get() + 1);
+            if fut.as_mut().poll(&mut cx).is_pending() {
+                let mut tasks = self.core.tasks.borrow_mut();
+                tasks.slots[idx as usize].fut = Some(fut);
+            } else {
+                {
+                    let mut tasks = self.core.tasks.borrow_mut();
+                    let slot = &mut tasks.slots[idx as usize];
+                    slot.gen = slot.gen.wrapping_add(1);
+                    tasks.free.push(idx);
+                }
+                self.core.live_tasks.set(self.core.live_tasks.get() - 1);
+                // `fut` drops here, after the slab borrow is released:
+                // destructors (e.g. `Sleep::drop`) may re-enter the core.
+            }
+        }
+        polls
+    }
+
+    /// Fires the earliest pending timer, advancing the clock to it.
+    /// Returns false when no live timer remains.
+    fn fire_next_timer(&self) -> bool {
+        let fired = self.core.timers.borrow_mut().pop();
+        let Some(f) = fired else { return false };
+        let at = SimTime::from_nanos(f.at);
+        debug_assert!(at >= self.core.now.get(), "time went backwards");
+        self.core.now.set(at);
+        self.core.timer_fires.set(self.core.timer_fires.get() + 1);
+        if let Some(w) = f.waker {
+            w.wake();
+        }
+        true
+    }
+
+    /// Peeks at the deadline of the earliest live timer.
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.core.timers.borrow_mut().peek().map(SimTime::from_nanos)
+    }
+
+    /// Runs until no task is runnable and no timer is pending
+    /// (quiescence).
+    pub fn run(&self) -> RunReport {
+        loop {
+            self.drain_ready();
+            if !self.fire_next_timer() {
+                break;
+            }
+        }
+        self.report()
+    }
+
+    /// Runs until quiescence or until the clock would pass `deadline`;
+    /// in the latter case the clock is left exactly at `deadline`.
+    pub fn run_until(&self, deadline: SimTime) -> RunReport {
+        loop {
+            self.drain_ready();
+            match self.next_deadline() {
+                Some(at) if at <= deadline => {
+                    self.fire_next_timer();
+                }
+                _ => break,
+            }
+        }
+        if self.core.now.get() < deadline {
+            self.core.now.set(deadline);
+        }
+        self.report()
+    }
+
+    /// Runs for `d` of virtual time from the current instant.
+    pub fn run_for(&self, d: Duration) -> RunReport {
+        self.run_until(self.now() + d)
+    }
+
+    /// Drives the simulation until `handle` completes, then returns its
+    /// output. Panics if the simulation goes quiescent first (the awaited
+    /// task would then never finish).
+    pub fn block_on<T: 'static>(&self, handle: JoinHandle<T>) -> T {
+        loop {
+            if let Some(v) = handle.try_take() {
+                return v;
+            }
+            self.drain_ready();
+            if let Some(v) = handle.try_take() {
+                return v;
+            }
+            if !self.fire_next_timer() {
+                // hetlint: allow(r5) — executor deadlock detection must abort: the sim itself is wedged
+                panic!(
+                    "simulation quiescent at {} with awaited task incomplete \
+                     ({} tasks leaked)",
+                    self.now(),
+                    self.core.live_tasks.get()
+                );
+            }
+        }
+    }
+
+    fn report(&self) -> RunReport {
+        RunReport {
+            end: self.now(),
+            polls: self.core.polls.get(),
+            timer_fires: self.core.timer_fires.get(),
+            pending_tasks: self.core.live_tasks.get(),
+        }
+    }
+}
+
+struct JoinState<T> {
+    result: Option<T>,
+    waker: Option<Waker>,
+}
+
+/// Handle to a spawned task's output.
+///
+/// Await it from another task, or pass it to [`Sim::block_on`] from
+/// outside the simulation.
+pub struct JoinHandle<T> {
+    state: Rc<RefCell<JoinState<T>>>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Takes the output if the task has finished.
+    pub fn try_take(&self) -> Option<T> {
+        self.state.borrow_mut().result.take()
+    }
+
+    /// True once the task has finished (and the output not yet taken).
+    pub fn is_finished(&self) -> bool {
+        self.state.borrow().result.is_some()
+    }
+}
+
+impl<T> Future for JoinHandle<T> {
+    type Output = T;
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        let mut s = self.state.borrow_mut();
+        if let Some(v) = s.result.take() {
+            Poll::Ready(v)
+        } else {
+            s.waker = Some(cx.waker().clone());
+            Poll::Pending
+        }
+    }
+}
+
+/// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+pub struct Sleep {
+    sim: Sim,
+    deadline: SimTime,
+    handle: Option<TimerHandle>,
+}
+
+impl Future for Sleep {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if let Some(h) = self.handle {
+            let mut timers = self.sim.core.timers.borrow_mut();
+            return if timers.is_fired(h) {
+                // Release in the same borrow the fired-check took, so
+                // the common completed-sleep path touches the timer
+                // store once and `Drop` has nothing left to do.
+                timers.release(h);
+                drop(timers);
+                self.handle = None;
+                Poll::Ready(())
+            } else {
+                timers.set_waker(h, cx.waker().clone());
+                Poll::Pending
+            };
+        }
+        if self.deadline <= self.sim.now() {
+            return Poll::Ready(());
+        }
+        let h = self.sim.register_timer_with(self.deadline, cx.waker().clone());
+        self.handle = Some(h);
+        Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        // Eagerly cancel so an abandoned sleep (e.g. the losing arm of a
+        // select) neither fires a stale waker nor advances the clock —
+        // and its wheel entry is removed rather than left as a tombstone.
+        if let Some(h) = self.handle.take() {
+            self.sim.core.timers.borrow_mut().release(h);
+        }
+    }
+}
+
+/// Future returned by [`Sim::yield_now`].
+pub struct YieldNow {
+    sim: Sim,
+    polled: bool,
+}
+
+impl Future for YieldNow {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let _ = &self.sim;
+        if self.polled {
+            Poll::Ready(())
+        } else {
+            self.polled = true;
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::secs;
+    use std::cell::RefCell as StdRefCell;
+
+    #[test]
+    fn empty_sim_quiesces_at_zero() {
+        let sim = Sim::new();
+        let r = sim.run();
+        assert_eq!(r.end, SimTime::ZERO);
+        assert_eq!(r.pending_tasks, 0);
+    }
+
+    #[test]
+    fn sleep_advances_clock() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(secs(1.5)).await;
+            assert_eq!(s.now(), SimTime::from_millis(1500));
+        });
+        let r = sim.run();
+        assert_eq!(r.end, SimTime::from_millis(1500));
+        assert_eq!(r.pending_tasks, 0);
+    }
+
+    #[test]
+    fn sequential_sleeps_accumulate() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(secs(1.0)).await;
+            s.sleep(secs(2.0)).await;
+            s.now()
+        });
+        let end = sim.block_on(h);
+        assert_eq!(end, SimTime::from_secs(3));
+    }
+
+    #[test]
+    fn concurrent_tasks_interleave_by_time() {
+        let sim = Sim::new();
+        let log: Rc<StdRefCell<Vec<(&str, SimTime)>>> = Rc::default();
+        for (name, delay) in [("b", 2.0), ("a", 1.0), ("c", 3.0)] {
+            let s = sim.clone();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                s.sleep(secs(delay)).await;
+                log.borrow_mut().push((name, s.now()));
+            });
+        }
+        sim.run();
+        let log = log.borrow();
+        assert_eq!(
+            log.as_slice(),
+            &[
+                ("a", SimTime::from_secs(1)),
+                ("b", SimTime::from_secs(2)),
+                ("c", SimTime::from_secs(3))
+            ]
+        );
+    }
+
+    #[test]
+    fn same_deadline_fires_in_registration_order() {
+        let sim = Sim::new();
+        let log: Rc<StdRefCell<Vec<u32>>> = Rc::default();
+        for i in 0..5u32 {
+            let s = sim.clone();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                s.sleep(secs(1.0)).await;
+                log.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        assert_eq!(log.borrow().as_slice(), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn zero_sleep_completes_immediately() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(Duration::ZERO).await;
+            s.now()
+        });
+        assert_eq!(sim.block_on(h), SimTime::ZERO);
+    }
+
+    #[test]
+    fn join_handle_returns_value() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            s.sleep(secs(1.0)).await;
+            42u32
+        });
+        assert_eq!(sim.block_on(h), 42);
+    }
+
+    #[test]
+    fn join_handle_awaitable_from_other_task() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let inner = sim.spawn(async move {
+            s.sleep(secs(2.0)).await;
+            7u32
+        });
+        let s2 = sim.clone();
+        let outer = sim.spawn(async move {
+            let v = inner.await;
+            (v, s2.now())
+        });
+        let (v, t) = sim.block_on(outer);
+        assert_eq!(v, 7);
+        assert_eq!(t, SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn nested_spawn_runs() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let h = sim.spawn(async move {
+            let s2 = s.clone();
+            let child = s.spawn(async move {
+                s2.sleep(secs(1.0)).await;
+                "child done"
+            });
+            child.await
+        });
+        assert_eq!(sim.block_on(h), "child done");
+    }
+
+    #[test]
+    fn run_until_stops_at_deadline() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let done = Rc::new(Cell::new(false));
+        let done2 = Rc::clone(&done);
+        sim.spawn(async move {
+            s.sleep(secs(10.0)).await;
+            done2.set(true);
+        });
+        let r = sim.run_until(SimTime::from_secs(5));
+        assert_eq!(r.end, SimTime::from_secs(5));
+        assert!(!done.get());
+        assert_eq!(r.pending_tasks, 1);
+        // Continue to completion.
+        let r = sim.run();
+        assert_eq!(r.end, SimTime::from_secs(10));
+        assert!(done.get());
+    }
+
+    #[test]
+    fn run_until_with_no_timers_jumps_clock() {
+        let sim = Sim::new();
+        let r = sim.run_until(SimTime::from_secs(9));
+        assert_eq!(r.end, SimTime::from_secs(9));
+    }
+
+    #[test]
+    fn run_for_is_relative() {
+        let sim = Sim::new();
+        sim.run_for(secs(2.0));
+        sim.run_for(secs(3.0));
+        assert_eq!(sim.now(), SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn yield_now_lets_peers_run_at_same_instant() {
+        let sim = Sim::new();
+        let log: Rc<StdRefCell<Vec<&str>>> = Rc::default();
+        let s = sim.clone();
+        let l1 = Rc::clone(&log);
+        sim.spawn(async move {
+            l1.borrow_mut().push("a1");
+            s.yield_now().await;
+            l1.borrow_mut().push("a2");
+        });
+        let l2 = Rc::clone(&log);
+        sim.spawn(async move {
+            l2.borrow_mut().push("b1");
+        });
+        let r = sim.run();
+        assert_eq!(log.borrow().as_slice(), &["a1", "b1", "a2"]);
+        assert_eq!(r.end, SimTime::ZERO);
+    }
+
+    #[test]
+    fn dropped_sleep_does_not_advance_clock() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            let long = s.sleep(secs(100.0));
+            drop(long); // e.g. losing select arm
+            s.sleep(secs(1.0)).await;
+        });
+        let r = sim.run();
+        assert_eq!(r.end, SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn many_tasks_deterministic() {
+        let run = || {
+            let sim = Sim::new();
+            let acc: Rc<StdRefCell<Vec<u64>>> = Rc::default();
+            for i in 0..200u64 {
+                let s = sim.clone();
+                let acc = Rc::clone(&acc);
+                sim.spawn(async move {
+                    s.sleep(secs(((i * 37) % 17) as f64 * 0.1)).await;
+                    acc.borrow_mut().push(i);
+                });
+            }
+            sim.run();
+            let order = acc.borrow().clone();
+            order
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    #[should_panic(expected = "quiescent")]
+    fn block_on_panics_on_deadlock() {
+        let sim = Sim::new();
+        // A task that waits on a JoinHandle that can never complete
+        // because nothing drives the inner future.
+        let (never, _keep) = {
+            let inner: JoinHandle<()> = JoinHandle {
+                state: Rc::new(RefCell::new(JoinState { result: None, waker: None })),
+            };
+            (inner, ())
+        };
+        let h = sim.spawn(never);
+        sim.block_on(h);
+    }
+
+    #[test]
+    fn report_counts_polls_and_timers() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            for _ in 0..3 {
+                s.sleep(secs(1.0)).await;
+            }
+        });
+        let r = sim.run();
+        assert_eq!(r.timer_fires, 3);
+        assert!(r.polls >= 4);
+    }
+
+    /// Spawns `n` tasks that all sleep until the same instant and
+    /// records the order their timers fire in.
+    fn equal_deadline_order(shuffle: Option<u64>) -> Vec<u64> {
+        let sim = match shuffle {
+            Some(seed) => Sim::with_tie_shuffle(seed),
+            None => Sim::new(),
+        };
+        let acc: Rc<StdRefCell<Vec<u64>>> = Rc::default();
+        for i in 0..16u64 {
+            let s = sim.clone();
+            let acc = Rc::clone(&acc);
+            sim.spawn(async move {
+                s.sleep(secs(5.0)).await;
+                acc.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        let order = acc.borrow().clone();
+        order
+    }
+
+    #[test]
+    fn tie_shuffle_perturbs_equal_deadlines_deterministically() {
+        let fifo = equal_deadline_order(None);
+        assert_eq!(fifo, (0..16).collect::<Vec<_>>(), "default mode is FIFO");
+        let a = equal_deadline_order(Some(7));
+        assert_eq!(a, equal_deadline_order(Some(7)), "same shuffle seed replays");
+        assert_ne!(a, fifo, "shuffle should perturb same-instant order");
+        assert_ne!(a, equal_deadline_order(Some(8)), "seeds should differ");
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "a permutation, no loss");
+    }
+
+    #[test]
+    fn tie_shuffle_preserves_time_order_across_deadlines() {
+        let sim = Sim::with_tie_shuffle(3);
+        let acc: Rc<StdRefCell<Vec<u64>>> = Rc::default();
+        for i in 0..10u64 {
+            let s = sim.clone();
+            let acc = Rc::clone(&acc);
+            sim.spawn(async move {
+                s.sleep(secs((10 - i) as f64)).await;
+                acc.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        // Distinct deadlines: the shuffle never reorders across time.
+        assert_eq!(acc.borrow().clone(), (0..10u64).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn short_sleep_after_truncated_run_lands_behind_cursor() {
+        // run_until peeks the far timer (cascading the wheel cursor up to
+        // its deadline), then truncates the clock below the cursor. The
+        // short sleep registered afterwards must take the backlog path
+        // and still fire first, in order.
+        let sim = Sim::new();
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(secs(1000.0)).await;
+        });
+        sim.run_until(SimTime::from_secs(5));
+        let log: Rc<StdRefCell<Vec<&str>>> = Rc::default();
+        for (name, d) in [("near", 1.0), ("nearer", 0.5)] {
+            let s = sim.clone();
+            let log = Rc::clone(&log);
+            sim.spawn(async move {
+                s.sleep(secs(d)).await;
+                log.borrow_mut().push(name);
+            });
+        }
+        let r = sim.run();
+        assert_eq!(log.borrow().as_slice(), &["nearer", "near"]);
+        assert_eq!(r.end, SimTime::from_secs(1000));
+    }
+
+    #[test]
+    fn task_slot_reuse_ignores_stale_wakes() {
+        // Complete a task, then spawn enough new ones to recycle its
+        // slot; a stale waker for the finished task must not poll the
+        // newcomer (generation mismatch).
+        let sim = Sim::new();
+        let h = sim.spawn(async {});
+        sim.run();
+        assert!(h.is_finished());
+        let s = sim.clone();
+        let h2 = sim.spawn(async move {
+            s.sleep(secs(1.0)).await;
+            11u32
+        });
+        // Stale id: index 0, generation 0 (the finished task).
+        sim.core.ready.push(pack_task(0, 0));
+        assert_eq!(sim.block_on(h2), 11);
+    }
+
+    // -----------------------------------------------------------------
+    // Property test: the wheel fires in exactly the order a binary-heap
+    // reference does, under random insert/cancel/pop/peek scripts.
+    // -----------------------------------------------------------------
+
+    /// The old timer store, reduced to its essence: a min-heap of
+    /// `(at, tie, seq)` with lazy cancellation.
+    #[derive(Default)]
+    struct HeapRef {
+        heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+        cancelled: std::collections::HashSet<u64>,
+    }
+
+    impl HeapRef {
+        fn insert(&mut self, at: u64, tie: u64, seq: u64) {
+            self.heap.push(Reverse((at, tie, seq)));
+        }
+        fn cancel(&mut self, seq: u64) {
+            self.cancelled.insert(seq);
+        }
+        fn peek(&mut self) -> Option<u64> {
+            while let Some(&Reverse((at, _, seq))) = self.heap.peek() {
+                if self.cancelled.contains(&seq) {
+                    self.heap.pop();
+                } else {
+                    return Some(at);
+                }
+            }
+            None
+        }
+        fn pop(&mut self) -> Option<(u64, u64, u64)> {
+            while let Some(Reverse((at, tie, seq))) = self.heap.pop() {
+                if !self.cancelled.contains(&seq) {
+                    return Some((at, tie, seq));
+                }
+            }
+            None
+        }
+    }
+
+    fn wheel_matches_heap_script(seed: u64, shuffled_ties: bool) {
+        let mut rng = SimRng::from_seed(seed);
+        let mut wheel = TimerWheel::default();
+        let mut reference = HeapRef::default();
+        // seq -> handle, for cancels and post-pop release.
+        let mut live: Vec<(u64, TimerHandle)> = Vec::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        for _ in 0..4000 {
+            match rng.next_u64() % 100 {
+                0..=54 => {
+                    // Insert with deltas spread across every wheel level.
+                    let span = rng.next_u64() % 38;
+                    let delta = 1 + (rng.next_u64() % (1u64 << span));
+                    let at = now.saturating_add(delta);
+                    let tie = if shuffled_ties { rng.next_u64() } else { 0 };
+                    let h = wheel.register(at, tie, seq);
+                    reference.insert(at, tie, seq);
+                    live.push((seq, h));
+                    seq += 1;
+                }
+                55..=69 => {
+                    if !live.is_empty() {
+                        let i = (rng.next_u64() % live.len() as u64) as usize;
+                        let (s, h) = live.swap_remove(i);
+                        wheel.release(h);
+                        reference.cancel(s);
+                    }
+                }
+                70..=89 => {
+                    let got = wheel.pop().map(|f| (f.at, f.tie, f.seq));
+                    let want = reference.pop();
+                    assert_eq!(got, want, "pop diverged (seed {seed})");
+                    if let Some((_, _, s)) = got {
+                        now = got.map(|(at, ..)| at).unwrap_or(now);
+                        if let Some(i) = live.iter().position(|&(ls, _)| ls == s) {
+                            let (_, h) = live.swap_remove(i);
+                            wheel.release(h); // the Sleep dropping post-fire
+                        }
+                    }
+                }
+                _ => {
+                    assert_eq!(wheel.peek(), reference.peek(), "peek diverged (seed {seed})");
+                }
+            }
+        }
+        // Drain what's left: order must match to the end.
+        loop {
+            let got = wheel.pop().map(|f| (f.at, f.tie, f.seq));
+            let want = reference.pop();
+            assert_eq!(got, want, "drain diverged (seed {seed})");
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn wheel_pops_in_heap_order_fifo_ties() {
+        for seed in [1u64, 2, 3, 42, 2026] {
+            wheel_matches_heap_script(seed, false);
+        }
+    }
+
+    #[test]
+    fn wheel_pops_in_heap_order_shuffled_ties() {
+        for seed in [5u64, 6, 7, 99, 517] {
+            wheel_matches_heap_script(seed, true);
+        }
+    }
+
+    #[test]
+    fn wheel_handles_extreme_deadlines() {
+        let mut wheel = TimerWheel::default();
+        let far = wheel.register(u64::MAX, 0, 0);
+        let near = wheel.register(1, 0, 1);
+        assert_eq!(wheel.peek(), Some(1));
+        let f = wheel.pop().map(|f| f.at);
+        assert_eq!(f, Some(1));
+        wheel.release(near);
+        assert_eq!(wheel.pop().map(|f| f.at), Some(u64::MAX));
+        wheel.release(far);
+        assert_eq!(wheel.pop().map(|f| f.at), None);
+    }
+}

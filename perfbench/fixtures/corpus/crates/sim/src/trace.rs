@@ -1,0 +1,484 @@
+//! Structured trace of simulation activity.
+//!
+//! Actors append [`TraceEvent`]s to a shared [`Tracer`]; figure harnesses
+//! replay the trace to compute utilization series and latency breakdowns.
+//! Tracing is optional and cheap: a disabled tracer drops events, and an
+//! enabled one allocates nothing per event — actors are interned
+//! [`Symbol`]s and the determinism digest is folded *as events stream
+//! through*, so retaining the event log is opt-in rather than the price
+//! of reproducibility checking.
+
+use crate::intern::Symbol;
+use crate::time::SimTime;
+use std::cell::{RefCell, RefMut};
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// Canonical event kinds emitted by the fabrics and the steering layer.
+///
+/// Using these constants (rather than ad-hoc string literals) keeps
+/// producers and trace consumers in sync; the failure-path kinds
+/// (`TASK_RETRY`, `TASK_FAILED`, `TASK_TIMEOUT`) are part of the
+/// graceful-degradation contract: a fault emits a trace event and a
+/// record, never a panic.
+pub mod kinds {
+    /// Thinker created a task.
+    pub const TASK_CREATED: &str = "task_created";
+    /// Worker began executing a task.
+    pub const TASK_STARTED: &str = "task_started";
+    /// A failed attempt; value = the attempt number about to run.
+    pub const TASK_RETRY: &str = "task_retry";
+    /// Worker finished a task successfully.
+    pub const TASK_FINISHED: &str = "task_finished";
+    /// Task failed terminally on the worker (exhausted retries,
+    /// resolve/put error); travels the result path as a failed record.
+    pub const TASK_FAILED: &str = "task_failed";
+    /// Task missed its delivery deadline (e.g. stuck behind an
+    /// endpoint outage) and was failed by the fabric.
+    pub const TASK_TIMEOUT: &str = "task_timeout";
+    /// Thinker received a result envelope.
+    pub const RESULT_RECEIVED: &str = "result_received";
+    /// An endpoint's circuit breaker tripped open: dispatches steer
+    /// away until the cool-down elapses. Value = trip generation.
+    pub const BREAKER_OPENED: &str = "breaker_opened";
+    /// A half-open probe succeeded and the breaker closed again.
+    /// Value = trip generation being retired.
+    pub const BREAKER_CLOSED: &str = "breaker_closed";
+    /// A straggling task was re-issued speculatively to another
+    /// endpoint; first result wins. Value = the hedge copy number.
+    pub const TASK_HEDGED: &str = "task_hedged";
+    /// A duplicate (hedged/rerouted) task copy lost the race and was
+    /// cancelled; its time is accounted as waste, never as a second
+    /// terminal outcome. Value = seconds the loser burned.
+    pub const TASK_CANCELLED: &str = "task_cancelled";
+    /// A task whose delivery timed out was re-dispatched to a
+    /// different endpoint instead of failing. Value = reroute count.
+    pub const TASK_REROUTED: &str = "task_rerouted";
+    /// A task was shed by overload protection — displaced from a full
+    /// bounded queue or refused by the admission controller — and
+    /// delivered as a `TaskOutcome::Shed` record. Value = the queue
+    /// depth (or in-flight count) at the moment of shedding.
+    pub const TASK_SHED: &str = "task_shed";
+    /// A topic's queue depth crossed its high watermark: the submission
+    /// gate closed and steer agents now await a permit. Entity = the
+    /// topic's registration index, value = the depth that tripped it.
+    pub const BACKPRESSURE_ON: &str = "backpressure_on";
+    /// The depth drained to the low watermark and the gate reopened.
+    /// Entity = the topic's registration index, value = the depth.
+    pub const BACKPRESSURE_OFF: &str = "backpressure_off";
+    /// Sustained overload (or open breakers) made an application drop
+    /// to a cheaper fidelity tier (TTM-like oracle, smaller ensemble).
+    /// Value = the degradation generation.
+    pub const FIDELITY_DEGRADED: &str = "fidelity_degraded";
+    /// Pressure cleared and full fidelity resumed. Value = the
+    /// generation being retired.
+    pub const FIDELITY_RESTORED: &str = "fidelity_restored";
+
+    /// Every registered kind, in declaration order.
+    ///
+    /// hetlint (rule R8) cross-checks this module against every
+    /// `emit(..)` site in the workspace — a kind emitted but not
+    /// declared here, or declared here but never emitted, fails the
+    /// static-analysis gate. The slice lets consumers (lifecycle
+    /// accounting, figure harnesses) enumerate the registry without
+    /// hand-maintained lists.
+    pub const ALL: &[&str] = &[
+        TASK_CREATED,
+        TASK_STARTED,
+        TASK_RETRY,
+        TASK_FINISHED,
+        TASK_FAILED,
+        TASK_TIMEOUT,
+        RESULT_RECEIVED,
+        BREAKER_OPENED,
+        BREAKER_CLOSED,
+        TASK_HEDGED,
+        TASK_CANCELLED,
+        TASK_REROUTED,
+        TASK_SHED,
+        BACKPRESSURE_ON,
+        BACKPRESSURE_OFF,
+        FIDELITY_DEGRADED,
+        FIDELITY_RESTORED,
+    ];
+}
+
+/// One trace record: what happened, where, when, and to which entity.
+///
+/// `Copy`: the actor is an interned [`Symbol`], so events move by value
+/// with no heap traffic.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TraceEvent {
+    /// When the event occurred.
+    pub t: SimTime,
+    /// The emitting component, e.g. `"worker/theta/3"`.
+    pub actor: Symbol,
+    /// Event kind, e.g. `"task_started"`.
+    pub kind: &'static str,
+    /// Entity id the event concerns (task id, transfer id, …).
+    pub entity: u64,
+    /// Optional numeric payload (bytes, durations in seconds, …).
+    pub value: f64,
+}
+
+/// What an enabled tracer keeps in memory, beyond the streaming digest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Retain {
+    /// Nothing — digest and count only. The fast path for perf runs
+    /// and digest-invariance sweeps.
+    Nothing,
+    /// The most recent `n` events, for tests that inspect the tail of
+    /// a long run without paying for the whole log.
+    Ring(usize),
+    /// Every event, for figure harnesses that replay the full trace.
+    All,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+struct TracerState {
+    events: VecDeque<TraceEvent>,
+    enabled: bool,
+    retain: Retain,
+    /// FNV-1a fold over every event ever emitted, updated at emit time.
+    digest: u64,
+    /// Events ever emitted (ring eviction does not decrement).
+    emitted: usize,
+}
+
+impl Default for TracerState {
+    fn default() -> Self {
+        TracerState {
+            events: VecDeque::new(),
+            enabled: false,
+            retain: Retain::All,
+            digest: FNV_OFFSET,
+            emitted: 0,
+        }
+    }
+}
+
+impl TracerState {
+    #[inline]
+    fn fold_bytes(&mut self, bytes: &[u8]) {
+        let mut h = self.digest;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.digest = h;
+    }
+
+    /// Folds one event into the digest. The byte recipe — time, actor
+    /// bytes, 0xff, kind bytes, 0xff, entity, value bits — is pinned by
+    /// the determinism suite and must never change: it is what makes
+    /// digests comparable across kernel rewrites.
+    #[inline]
+    fn fold_event(&mut self, e: &TraceEvent) {
+        self.fold_bytes(&e.t.as_nanos().to_le_bytes());
+        self.fold_bytes(e.actor.as_str().as_bytes());
+        self.fold_bytes(&[0xff]); // field separator: actor is variable-length
+        self.fold_bytes(e.kind.as_bytes());
+        self.fold_bytes(&[0xff]);
+        self.fold_bytes(&e.entity.to_le_bytes());
+        self.fold_bytes(&e.value.to_bits().to_le_bytes());
+    }
+}
+
+/// Shared, clonable event sink.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    state: Rc<RefCell<TracerState>>,
+}
+
+impl Tracer {
+    /// Creates a tracer that records every event (and streams the
+    /// digest).
+    pub fn enabled() -> Self {
+        let t = Tracer::default();
+        {
+            let mut s = t.state.borrow_mut();
+            s.enabled = true;
+            s.retain = Retain::All;
+        }
+        t
+    }
+
+    /// Creates a tracer that folds the determinism digest but retains
+    /// no events: [`Tracer::digest`] and [`Tracer::len`] work,
+    /// [`Tracer::events`] stays empty. Constant memory regardless of
+    /// run length — the right mode for perf baselines and digest
+    /// sweeps.
+    pub fn digest_only() -> Self {
+        let t = Tracer::default();
+        {
+            let mut s = t.state.borrow_mut();
+            s.enabled = true;
+            s.retain = Retain::Nothing;
+        }
+        t
+    }
+
+    /// Creates a tracer that keeps only the most recent `capacity`
+    /// events (the digest still covers all of them). For tests that
+    /// assert on the tail of a long run.
+    pub fn with_ring(capacity: usize) -> Self {
+        assert!(capacity > 0, "ring capacity must be >= 1");
+        let t = Tracer::default();
+        {
+            let mut s = t.state.borrow_mut();
+            s.enabled = true;
+            s.retain = Retain::Ring(capacity);
+        }
+        t
+    }
+
+    /// Creates a tracer that drops events.
+    pub fn disabled() -> Self {
+        Tracer::default()
+    }
+
+    /// True when events are being recorded.
+    pub fn is_enabled(&self) -> bool {
+        self.state.borrow().enabled
+    }
+
+    /// Records an event (no-op when disabled).
+    ///
+    /// `actor` takes anything convertible to a [`Symbol`]; hot paths
+    /// pass a pre-interned `Symbol` (zero work), occasional emitters
+    /// can still pass `&str`.
+    pub fn emit(
+        &self,
+        t: SimTime,
+        actor: impl Into<Symbol>,
+        kind: &'static str,
+        entity: u64,
+        value: f64,
+    ) {
+        let mut s = self.state.borrow_mut();
+        if !s.enabled {
+            return;
+        }
+        let e = TraceEvent { t, actor: actor.into(), kind, entity, value };
+        s.fold_event(&e);
+        s.emitted += 1;
+        match s.retain {
+            Retain::Nothing => {}
+            Retain::Ring(cap) => {
+                if s.events.len() == cap {
+                    s.events.pop_front();
+                }
+                s.events.push_back(e);
+            }
+            Retain::All => s.events.push_back(e),
+        }
+    }
+
+    /// Number of events ever emitted (ring eviction does not lower it).
+    pub fn len(&self) -> usize {
+        self.state.borrow().emitted
+    }
+
+    /// True when nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Borrowed view of the retained events in emission order.
+    ///
+    /// This borrows the tracer's buffer instead of cloning it — do not
+    /// hold the guard across an `emit` (same rule as any `RefCell`
+    /// borrow). In ring mode this is the retained tail; in digest-only
+    /// mode it is empty.
+    pub fn events(&self) -> RefMut<'_, [TraceEvent]> {
+        RefMut::map(self.state.borrow_mut(), |s| s.events.make_contiguous())
+    }
+
+    /// Snapshot filtered by event kind. Events are `Copy`, so this
+    /// allocates one `Vec` of plain values and nothing per event.
+    pub fn events_of_kind(&self, kind: &str) -> Vec<TraceEvent> {
+        self.state
+            .borrow()
+            .events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .copied()
+            .collect()
+    }
+
+    /// Clears the recorded events and restarts the digest fold.
+    pub fn clear(&self) {
+        let mut s = self.state.borrow_mut();
+        s.events.clear();
+        s.digest = FNV_OFFSET;
+        s.emitted = 0;
+    }
+
+    /// FNV-1a digest of the full event stream, in emission order.
+    ///
+    /// Folds every field of every event — time, actor, kind, entity,
+    /// and the payload's exact bit pattern — so two traces share a
+    /// digest only if they are bit-identical. This is the quantity the
+    /// determinism regression suite compares across same-seed runs. The
+    /// fold happens at emit time, so the digest covers every event ever
+    /// emitted even in ring or digest-only mode.
+    pub fn digest(&self) -> u64 {
+        self.state.borrow().digest
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn disabled_tracer_drops() {
+        let t = Tracer::disabled();
+        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        assert!(t.is_empty());
+        assert!(!t.is_enabled());
+    }
+
+    #[test]
+    fn enabled_tracer_records_in_order() {
+        let t = Tracer::enabled();
+        t.emit(SimTime::from_secs(1), "a", "start", 1, 0.0);
+        t.emit(SimTime::from_secs(2), "a", "stop", 1, 5.0);
+        let ev = t.events();
+        assert_eq!(ev.len(), 2);
+        assert_eq!(ev[0].kind, "start");
+        assert_eq!(ev[1].value, 5.0);
+    }
+
+    #[test]
+    fn events_returns_a_borrow_not_a_copy() {
+        let t = Tracer::enabled();
+        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        let first = t.events().as_ptr();
+        let second = t.events().as_ptr();
+        assert_eq!(first, second, "same underlying buffer, no clone");
+    }
+
+    #[test]
+    fn filter_by_kind() {
+        let t = Tracer::enabled();
+        t.emit(SimTime::ZERO, "a", "start", 1, 0.0);
+        t.emit(SimTime::ZERO, "b", "stop", 1, 0.0);
+        t.emit(SimTime::ZERO, "c", "start", 2, 0.0);
+        assert_eq!(t.events_of_kind("start").len(), 2);
+        assert_eq!(t.events_of_kind("stop").len(), 1);
+        assert_eq!(t.events_of_kind("nope").len(), 0);
+    }
+
+    #[test]
+    fn digest_is_order_and_content_sensitive() {
+        let a = Tracer::enabled();
+        a.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
+        a.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        let b = Tracer::enabled();
+        b.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
+        b.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        assert_eq!(a.digest(), b.digest());
+        let c = Tracer::enabled();
+        c.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        c.emit(SimTime::from_secs(1), "w", "start", 1, 0.5);
+        assert_ne!(a.digest(), c.digest(), "order must matter");
+        // Variable-length actor/kind fields must not alias.
+        let d = Tracer::enabled();
+        d.emit(SimTime::from_secs(1), "ws", "tart", 1, 0.5);
+        d.emit(SimTime::from_secs(2), "w", "stop", 1, 0.0);
+        assert_ne!(a.digest(), d.digest(), "field boundaries must matter");
+    }
+
+    #[test]
+    fn streaming_digest_matches_retained_fold() {
+        // The streaming fold must agree with the reference definition:
+        // an explicit FNV-1a pass over the retained events.
+        let t = Tracer::enabled();
+        t.emit(SimTime::from_secs(1), "w/1", "start", 7, 0.25);
+        t.emit(SimTime::from_millis(1500), "w/2", "stop", 7, -1.5);
+        t.emit(SimTime::from_secs(2), "thinker", "start", 8, 0.0);
+        let mut h: u64 = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        for e in t.events().iter() {
+            fold(&e.t.as_nanos().to_le_bytes());
+            fold(e.actor.as_str().as_bytes());
+            fold(&[0xff]);
+            fold(e.kind.as_bytes());
+            fold(&[0xff]);
+            fold(&e.entity.to_le_bytes());
+            fold(&e.value.to_bits().to_le_bytes());
+        }
+        assert_eq!(t.digest(), h);
+    }
+
+    #[test]
+    fn digest_only_mode_retains_nothing_but_digests_everything() {
+        let full = Tracer::enabled();
+        let lean = Tracer::digest_only();
+        for i in 0..50u64 {
+            full.emit(SimTime::from_millis(i), "w", "start", i, 0.1);
+            lean.emit(SimTime::from_millis(i), "w", "start", i, 0.1);
+        }
+        assert_eq!(lean.digest(), full.digest());
+        assert_eq!(lean.len(), 50);
+        assert!(lean.events().is_empty(), "digest-only retains no events");
+    }
+
+    #[test]
+    fn ring_mode_keeps_the_tail_and_the_full_digest() {
+        let full = Tracer::enabled();
+        let ring = Tracer::with_ring(4);
+        for i in 0..10u64 {
+            full.emit(SimTime::from_millis(i), "w", "start", i, 0.0);
+            ring.emit(SimTime::from_millis(i), "w", "start", i, 0.0);
+        }
+        assert_eq!(ring.len(), 10, "len counts everything emitted");
+        let tail = ring.events();
+        assert_eq!(tail.len(), 4);
+        assert_eq!(tail[0].entity, 6, "oldest retained is n-4");
+        assert_eq!(tail[3].entity, 9);
+        drop(tail);
+        assert_eq!(ring.digest(), full.digest(), "digest covers evicted events");
+    }
+
+    #[test]
+    fn kind_registry_is_unique_and_well_formed() {
+        for (i, a) in kinds::ALL.iter().enumerate() {
+            assert!(!a.is_empty());
+            assert!(
+                a.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
+                "kind {a:?} must be snake_case"
+            );
+            for b in kinds::ALL.iter().skip(i + 1) {
+                assert_ne!(a, b, "duplicate registered kind");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_resets_digest_and_count() {
+        let t = Tracer::enabled();
+        t.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.digest(), Tracer::enabled().digest(), "digest restarts");
+    }
+
+    #[test]
+    fn clones_share_state() {
+        let t = Tracer::enabled();
+        let t2 = t.clone();
+        t2.emit(SimTime::ZERO, "a", "x", 1, 0.0);
+        assert_eq!(t.len(), 1);
+        t.clear();
+        assert!(t2.is_empty());
+    }
+}

@@ -1,0 +1,102 @@
+//! Shape regression tests: the qualitative results of every figure,
+//! asserted as invariants so calibration drift is caught by CI rather
+//! than by eyeballing figure output.
+
+use hetflow_bench::{NoopPipeline, StoreKind};
+
+/// Fig. 3: proxying cuts server→worker communication 2–3× at 10 kB.
+#[test]
+fn fig3_speedup_10kb_in_band() {
+    let no_proxy = NoopPipeline::fig3(StoreKind::None).run(10_000, 30);
+    let redis = NoopPipeline::fig3(StoreKind::Redis).run(10_000, 30);
+    let ratio = no_proxy.server_to_worker.median() / redis.server_to_worker.median();
+    assert!((1.8..4.5).contains(&ratio), "10kB server->worker speedup {ratio:.2} (paper: 2-3x)");
+}
+
+/// Fig. 3: proxying cuts server→worker communication ~10× at 1 MB.
+#[test]
+fn fig3_speedup_1mb_in_band() {
+    let no_proxy = NoopPipeline::fig3(StoreKind::None).run(1_000_000, 30);
+    let redis = NoopPipeline::fig3(StoreKind::Redis).run(1_000_000, 30);
+    let ratio = no_proxy.server_to_worker.median() / redis.server_to_worker.median();
+    assert!((6.0..16.0).contains(&ratio), "1MB server->worker speedup {ratio:.1} (paper: ~10x)");
+}
+
+/// Fig. 3: server→worker communication dominates the no-op lifetime on
+/// the FaaS fabric.
+#[test]
+fn fig3_server_to_worker_dominates() {
+    let b = NoopPipeline::fig3(StoreKind::None).run(10_000, 20);
+    let s2w = b.server_to_worker.median();
+    for (label, other) in [
+        ("thinker->server", b.thinker_to_server.median()),
+        ("time-on-worker", b.time_on_worker.median()),
+    ] {
+        assert!(s2w > other, "server->worker {s2w} must dominate {label} {other}");
+    }
+}
+
+/// Fig. 4: Redis beats the file system for small objects; they are
+/// comparable at 100 MB.
+#[test]
+fn fig4_redis_vs_fs_crossover() {
+    let redis_small = NoopPipeline::fig4(StoreKind::Redis).run(10_000, 20);
+    let fs_small = NoopPipeline::fig4(StoreKind::Fs).run(10_000, 20);
+    assert!(
+        redis_small.serialization.mean() < 0.6 * fs_small.serialization.mean(),
+        "Redis must be much faster for 10kB: {} vs {}",
+        redis_small.serialization.mean(),
+        fs_small.serialization.mean()
+    );
+    let redis_big = NoopPipeline::fig4(StoreKind::Redis).run(100_000_000, 10);
+    let fs_big = NoopPipeline::fig4(StoreKind::Fs).run(100_000_000, 10);
+    let ratio = redis_big.lifetime.mean() / fs_big.lifetime.mean();
+    assert!((0.4..2.5).contains(&ratio), "100MB lifetimes comparable: ratio {ratio:.2}");
+}
+
+/// Fig. 4: Globus time-on-worker is seconds and size-independent up to
+/// 100 MB (web-service latency, not bandwidth).
+#[test]
+fn fig4_globus_size_independent() {
+    let small = NoopPipeline::fig4(StoreKind::Globus).run(10_000, 10);
+    let large = NoopPipeline::fig4(StoreKind::Globus).run(100_000_000, 10);
+    let w_small = small.time_on_worker.mean();
+    let w_large = large.time_on_worker.mean();
+    assert!(w_small > 0.5, "Globus worker wait is seconds: {w_small}");
+    assert!(
+        w_large / w_small < 2.0,
+        "Globus wait must be near size-independent: {w_small:.2} vs {w_large:.2}"
+    );
+}
+
+/// §V-F recommendation: below ~10 kB, proxying through a store costs
+/// more worker time than inlining (the threshold exists for a reason).
+#[test]
+fn small_messages_hurt_by_proxying() {
+    let mut inline = NoopPipeline::fig3(StoreKind::Fs);
+    inline.threshold = 10_000;
+    let inline_b = inline.run(2_000, 20);
+    let mut forced = NoopPipeline::fig3(StoreKind::Fs);
+    forced.threshold = 0;
+    let forced_b = forced.run(2_000, 20);
+    assert!(
+        forced_b.time_on_worker.median() > 2.0 * inline_b.time_on_worker.median(),
+        "forced proxying of 2kB must cost: {} vs {}",
+        forced_b.time_on_worker.median(),
+        inline_b.time_on_worker.median()
+    );
+}
+
+/// The FaaS dispatch cost (client-visible submit latency) is ~100 ms —
+/// the §V-D3 in-text number.
+#[test]
+fn fnx_dispatch_cost_near_100ms() {
+    let b = NoopPipeline::fig3(StoreKind::Redis).run(10_000, 30);
+    // thinker_to_server + submitted→dispatched is queue + server work;
+    // dispatch itself is dominated by the HTTPS call inside
+    // server→worker. Verify via the thinker→server vs lifetime split:
+    // direct measurement of dispatched is in the records; use the
+    // median server→worker lower bound instead.
+    let s2w = b.server_to_worker.median();
+    assert!(s2w > 0.15 && s2w < 0.8, "FaaS path ~hundreds of ms: {s2w}");
+}
