@@ -23,7 +23,7 @@
 
 use crate::reliability::Connectivity;
 use crate::task::{TaskId, TaskSpec};
-use hetflow_sim::{trace_kinds as kinds, Samples, Sim, SimTime, Symbol, SymbolMap, Tracer};
+use hetflow_sim::{trace_kinds as kinds, QuantileTracker, Sim, SimTime, Symbol, SymbolMap, Tracer};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -289,8 +289,10 @@ struct LayerInner {
     route: SymbolMap<Vec<usize>>,
     endpoints: Vec<EndpointHealth>,
     inflight: RefCell<BTreeMap<TaskId, Inflight>>,
-    /// Per-topic round-trip latency samples feeding hedge delays.
-    rtt: RefCell<SymbolMap<Samples>>,
+    /// Per-topic round-trip latency quantile feeding hedge delays, kept
+    /// only for topics whose hedge policy is enabled (the only reader
+    /// is [`ReliabilityLayer::hedge_delay`]).
+    rtt: RefCell<SymbolMap<QuantileTracker>>,
     /// Seconds burned by cancelled losing copies.
     wasted: Cell<f64>,
     cancelled: Cell<u64>,
@@ -455,11 +457,11 @@ impl ReliabilityLayer {
             return None;
         }
         let rtt = self.inner.rtt.borrow();
-        let samples = rtt.get(topic)?;
-        if samples.len() < hedge.min_samples() {
+        let tracker = rtt.get(topic)?;
+        if tracker.len() < hedge.min_samples() {
             return None;
         }
-        let q = samples.quantile(hedge.quantile.clamp(0.0, 1.0));
+        let q = tracker.quantile();
         let factor = if hedge.factor > 0.0 { hedge.factor } else { 1.0 };
         let delay = (q * factor).max(0.0);
         Some(hetflow_sim::time::secs(delay))
@@ -537,7 +539,8 @@ impl ReliabilityLayer {
     ) -> Verdict {
         let topic = topic.into();
         let now = self.inner.sim.now();
-        let cfg = &self.policy(topic).breaker;
+        let policy = self.policy(topic);
+        let cfg = &policy.breaker;
         let mut reg = self.inner.inflight.borrow_mut();
         let Some(entry) = reg.get_mut(&id) else {
             // Untracked (direct pool use in tests): pass through.
@@ -569,11 +572,11 @@ impl ReliabilityLayer {
             reg.remove(&id);
         }
         drop(reg);
-        if !failed {
+        if !failed && policy.hedge.enabled() {
             self.inner
                 .rtt
                 .borrow_mut()
-                .get_or_insert_with(topic, Samples::default)
+                .get_or_insert_with(topic, || QuantileTracker::new(policy.hedge.quantile))
                 .record(rtt);
         }
         self.observe(endpoint, cfg, !failed && !slow, id);
@@ -1062,6 +1065,65 @@ mod tests {
         let delay = sim.block_on(h);
         // Every round trip took 10 s; median 10 × factor 2 = 20 s.
         assert_eq!(delay, Some(Duration::from_secs(20)));
+    }
+
+    #[test]
+    fn unhedged_topic_keeps_no_rtt_history() {
+        let (sim, layer) = layer_with(ReliabilityPolicies::default(), 1);
+        let l = layer.clone();
+        let s = sim.clone();
+        sim.block_on(sim.spawn(async move {
+            for id in 0..20u64 {
+                l.admit(&TaskSpec::noop(id, 100));
+                s.sleep(Duration::from_secs(1)).await;
+                l.on_result(0, id, "noop", false, 0.0);
+            }
+        }));
+        assert!(layer.inner.rtt.borrow().get(Symbol::intern("noop")).is_none());
+        assert!(layer.hedge_delay("noop").is_none());
+    }
+
+    #[test]
+    fn hedge_delay_matches_sorted_reference_over_long_history() {
+        let (q, factor) = (0.95, 1.5);
+        let policies = ReliabilityPolicies {
+            default: ReliabilityPolicy {
+                hedge: HedgeConfig { quantile: q, factor, ..Default::default() },
+                ..Default::default()
+            },
+            per_topic: SymbolMap::new(),
+        };
+        let (sim, layer) = layer_with(policies, 1);
+        let l = layer.clone();
+        let s = sim.clone();
+        let checked = sim.block_on(sim.spawn(async move {
+            let mut rng = hetflow_sim::SimRng::stream(5, "health-test/rtt-mix");
+            let mut reference = hetflow_sim::Samples::new();
+            let mut checked = 0;
+            for id in 0..10_000u64 {
+                // Uniform body, exponential tail, repeated exact values
+                // and rare multi-second stragglers.
+                let d = match id % 4 {
+                    0 => rng.uniform(0.05, 0.2),
+                    1 => -0.3 * (1.0 - rng.unit()).ln(),
+                    2 => [0.1, 0.25, 0.5][rng.below(3)],
+                    _ if rng.chance(0.05) => rng.uniform(5.0, 60.0),
+                    _ => 0.12,
+                };
+                let t0 = s.now();
+                l.admit(&TaskSpec::noop(id, 100));
+                s.sleep(hetflow_sim::time::secs(d)).await;
+                reference.record((s.now() - t0).as_secs_f64());
+                l.on_result(0, id, "noop", false, 0.0);
+                if id % 997 == 996 || id == 9_999 {
+                    let want = hetflow_sim::time::secs((reference.quantile(q) * factor).max(0.0));
+                    assert_eq!(l.hedge_delay("noop"), Some(want), "after {} samples", id + 1);
+                    checked += 1;
+                }
+            }
+            checked
+        }));
+        assert_eq!(checked, 11);
     }
 
     #[test]

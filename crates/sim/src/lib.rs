@@ -59,7 +59,7 @@ pub use dist::Dist;
 pub use executor::{JoinHandle, RunReport, Sim};
 pub use intern::Symbol;
 pub use symmap::SymbolMap;
-pub use metrics::{Gauge, Samples, TimeSeries};
+pub use metrics::{Gauge, QuantileTracker, Samples, TimeSeries};
 pub use rng::SimRng;
 pub use sync::{Event, Permit, Semaphore};
 pub use time::SimTime;

@@ -2,14 +2,19 @@
 //!
 //! The paper reports medians, means, percentile error bars (40th/60th in
 //! Fig. 6b), and utilization-over-time traces (Fig. 1). [`Samples`] covers
-//! the scalar statistics; [`TimeSeries`] and [`Gauge`] cover the traces.
+//! the scalar statistics; [`QuantileTracker`] keeps one quantile current
+//! as samples stream in; [`TimeSeries`] and [`Gauge`] cover the traces.
 
 use crate::time::SimTime;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// A bag of scalar samples with order statistics.
 ///
-/// Stores raw values; quantiles sort a copy on demand, which is cheap at
-/// the sample counts used here (≤ a few hundred thousand per figure cell).
+/// Stores raw values; every quantile query sorts a copy, O(n log n).
+/// That suits end-of-run reporting. A caller that reads a quantile per
+/// event (e.g. hedged dispatch, once per submit) should keep a
+/// [`QuantileTracker`] instead.
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
     values: Vec<f64>,
@@ -98,21 +103,7 @@ impl Samples {
             sorted[0].is_finite() && sorted[sorted.len() - 1].is_finite(),
             "non-finite sample slipped past record()"
         );
-        qs.iter()
-            .map(|q| {
-                debug_assert!(!q.is_nan(), "quantile q must be a number");
-                let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
-                let pos = q * (sorted.len() - 1) as f64;
-                let lo = pos.floor() as usize;
-                let hi = pos.ceil() as usize;
-                if lo == hi {
-                    sorted[lo]
-                } else {
-                    let frac = pos - lo as f64;
-                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-                }
-            })
-            .collect()
+        qs.iter().map(|&q| interpolate(quantile_pos(q, sorted.len()), |i| sorted[i])).collect()
     }
 
     /// The median (50th percentile).
@@ -154,6 +145,122 @@ impl Samples {
     /// Merges another sample set into this one.
     pub fn extend_from(&mut self, other: &Samples) {
         self.values.extend_from_slice(&other.values);
+    }
+}
+
+/// The interpolation position of quantile `q` among `n ≥ 1` sorted
+/// samples: `q` is clamped to `[0, 1]`, and a NaN `q` trips a debug
+/// assertion and falls back to the median in release builds.
+fn quantile_pos(q: f64, n: usize) -> f64 {
+    debug_assert!(!q.is_nan(), "quantile q must be a number");
+    let q = if q.is_nan() { 0.5 } else { q.clamp(0.0, 1.0) };
+    q * (n - 1) as f64
+}
+
+/// Linear interpolation between the order statistics around `pos`;
+/// `at(i)` is the `i`-th smallest sample. Shared by [`Samples`] and
+/// [`QuantileTracker`] so their answers are bit-identical.
+fn interpolate(pos: f64, at: impl Fn(usize) -> f64) -> f64 {
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    if lo == hi {
+        at(lo)
+    } else {
+        let frac = pos - lo as f64;
+        at(lo) * (1.0 - frac) + at(hi) * frac
+    }
+}
+
+/// An `f64` ordered by [`f64::total_cmp`], the order `Samples` sorts by.
+#[derive(Clone, Copy, Debug)]
+struct Total(f64);
+
+impl PartialEq for Total {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Total {}
+
+impl PartialOrd for Total {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Total {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One fixed quantile of a growing sample set, kept current in
+/// O(log n) per [`record`](QuantileTracker::record) and read in O(1).
+///
+/// A max-heap holds the `floor(q·(n−1)) + 1` smallest samples and a
+/// min-heap the rest, so the two heap tops are exactly the order
+/// statistics [`Samples::quantile`] interpolates between. The answer is
+/// bit-identical to `Samples::quantile(q)` over the same values.
+#[derive(Clone, Debug)]
+pub struct QuantileTracker {
+    q: f64,
+    low: BinaryHeap<Total>,
+    high: BinaryHeap<Reverse<Total>>,
+}
+
+impl QuantileTracker {
+    /// An empty tracker for quantile `q`, clamped to `[0, 1]`; a NaN `q`
+    /// is treated as in [`Samples::quantiles`].
+    pub fn new(q: f64) -> Self {
+        QuantileTracker { q, low: BinaryHeap::new(), high: BinaryHeap::new() }
+    }
+
+    /// Records one observation; non-finite values are rejected loudly,
+    /// as in [`Samples::record`].
+    pub fn record(&mut self, v: f64) {
+        assert!(v.is_finite(), "non-finite sample {v}");
+        let v = Total(v);
+        if self.low.peek().is_some_and(|top| v <= *top) {
+            self.low.push(v);
+        } else {
+            self.high.push(Reverse(v));
+        }
+        // The target size grows by at most one per sample, so this
+        // rebalancing moves at most one heap top.
+        let want = quantile_pos(self.q, self.len()).floor() as usize + 1;
+        while self.low.len() > want {
+            match self.low.pop() {
+                Some(top) => self.high.push(Reverse(top)),
+                None => break,
+            }
+        }
+        while self.low.len() < want {
+            match self.high.pop() {
+                Some(Reverse(top)) => self.low.push(top),
+                None => break,
+            }
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.low.len() + self.high.len()
+    }
+
+    /// True when no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.low.is_empty()
+    }
+
+    /// The tracked quantile; 0 when empty.
+    pub fn quantile(&self) -> f64 {
+        let Some(&Total(lo)) = self.low.peek() else {
+            return 0.0;
+        };
+        let hi = self.high.peek().map_or(lo, |&Reverse(Total(v))| v);
+        let lo_index = self.low.len() - 1;
+        interpolate(quantile_pos(self.q, self.len()), |i| if i == lo_index { lo } else { hi })
     }
 }
 

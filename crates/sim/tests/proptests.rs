@@ -2,10 +2,14 @@
 //!
 //! These cover the guarantees every higher layer silently relies on:
 //! virtual time never goes backwards, channels are FIFO and lossless,
-//! semaphores never over-grant, and execution is deterministic under
-//! arbitrary task/timer interleavings.
+//! semaphores never over-grant, execution is deterministic under
+//! arbitrary task/timer interleavings, and the streaming quantile
+//! tracker answers exactly what sorting the samples would.
 
-use hetflow_sim::{bounded, channel, time::secs, Semaphore, Sim, SimTime, Symbol, SymbolMap};
+use hetflow_sim::{
+    bounded, channel, time::secs, QuantileTracker, Samples, Semaphore, Sim, SimTime, Symbol,
+    SymbolMap,
+};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -199,4 +203,68 @@ proptest! {
         };
         prop_assert_eq!(run(), run());
     }
+
+    /// After every record, the tracker's quantile is bit-identical to
+    /// sorting all samples (`Samples::quantile`), over sequences heavy
+    /// in duplicates and signed zeros, for the edge quantiles and a
+    /// random one.
+    #[test]
+    fn quantile_tracker_matches_sorted_samples(
+        draws in prop::collection::vec((0u8..6, any::<u64>()), 0..200),
+        q_bits in any::<u64>()
+    ) {
+        let random_q = (q_bits >> 11) as f64 / (1u64 << 53) as f64;
+        for q in [0.0, 1e-9, 0.5, 0.95, 1.0, random_q] {
+            let mut tracker = QuantileTracker::new(q);
+            let mut reference = Samples::new();
+            prop_assert_eq!(tracker.quantile().to_bits(), 0f64.to_bits(), "empty tracker reads 0");
+            for &(kind, raw) in &draws {
+                let v = match kind {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => (raw % 4) as f64,
+                    3 => -((raw % 1000) as f64) / 8.0,
+                    4 => (raw % 1_000_000) as f64 * 1e-3,
+                    _ => Some(f64::from_bits(raw)).filter(|x| x.is_finite()).unwrap_or(1e300),
+                };
+                tracker.record(v);
+                reference.record(v);
+                prop_assert_eq!(tracker.len(), reference.len());
+                prop_assert_eq!(
+                    tracker.quantile().to_bits(),
+                    reference.quantile(q).to_bits(),
+                    "q={} n={}",
+                    q,
+                    reference.len()
+                );
+            }
+        }
+    }
+}
+
+/// A NaN quantile behaves the same in both types: a debug assertion in
+/// debug builds, the median in release builds.
+#[test]
+fn quantile_tracker_nan_q_matches_samples() {
+    let values = [3.0, -1.0, 7.5, 0.0, 2.0];
+    let tracked = std::panic::catch_unwind(|| {
+        let mut tracker = QuantileTracker::new(f64::NAN);
+        for v in values {
+            tracker.record(v);
+        }
+        tracker.quantile().to_bits()
+    });
+    let sorted = std::panic::catch_unwind(|| {
+        let mut reference = Samples::new();
+        for v in values {
+            reference.record(v);
+        }
+        reference.quantile(f64::NAN).to_bits()
+    })
+    .ok();
+    assert_eq!(tracked.ok(), sorted);
+    if !cfg!(debug_assertions) {
+        assert_eq!(sorted, Some(2f64.to_bits()), "release falls back to the median");
+    }
+    assert_eq!(QuantileTracker::new(f64::NAN).quantile(), 0.0, "empty reads 0 for any q");
 }

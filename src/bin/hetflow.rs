@@ -166,6 +166,12 @@ fn cmd_noop(opts: &Opts) {
     };
     let size = opts.num("size", 1_000_000u64);
     let tasks = opts.num("tasks", 50usize);
+    if tasks == 0 {
+        // The breakdown of zero tasks is empty; its medians would read
+        // as 0.0 ms rather than as missing data.
+        eprintln!("--tasks must be at least 1: zero tasks leave no latencies to report");
+        std::process::exit(2);
+    }
     let mut p = NoopPipeline::fig4(store);
     p.fabric = fabric;
     let b = p.run(size, tasks);
