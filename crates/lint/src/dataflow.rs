@@ -31,9 +31,13 @@
 //!   function*. R11 retains only lock-order inversion.
 //!
 //! Each function gets a [`Summary`] — does its return value carry
-//! ambient taint, do its parameters flow to its return value, do its
-//! parameters reach a sink — and the per-function analysis re-runs with
-//! callee summaries until the workspace converges. Everything
+//! ambient taint, do its parameters flow to its return value, which
+//! sinks do its parameters reach — and a worklist re-analyses a
+//! function only when a callee's summary changed, until the workspace
+//! reaches its fixed point. Summaries form a finite lattice: taint
+//! chains are capped at [`MAX_HOPS`], and a function keeps one
+//! [`SinkWitness`] per sink kind (fewest hops wins, first wins a tie),
+//! so a call cycle cannot mint new witnesses forever. Everything
 //! over-approximates (flattened expressions, suffix-matched calls), so
 //! the lattice errs toward reporting; the escape hatch is a reasoned
 //! `allow(..)`, never analysis cleverness.
@@ -47,14 +51,27 @@ use crate::ratchet::Ratchet;
 use crate::scan;
 use crate::{LintedFile, RuleId, Violation};
 
-/// Chain-length cap: hop chains stop growing here, which both keeps
-/// messages readable and makes the fixed point terminate through call
-/// cycles.
+/// Chain-length cap: taint chains and sink witnesses stop growing
+/// here, which both keeps messages readable and makes the fixed point
+/// terminate through call cycles.
 const MAX_HOPS: usize = 8;
 
-/// Global summary-iteration cap (a safety net; real workspaces converge
-/// in two or three rounds).
+/// Defensive cap on the worklist: at most this many analyses per
+/// function on average. The workspace reaches its fixed point in
+/// about 1.4; hitting the cap leaves a report note, never a silent
+/// stop.
 const MAX_ROUNDS: usize = 10;
+
+/// Every sink kind [`local_sink`] recognizes; a summary holds at most
+/// one [`SinkWitness`] per kind.
+pub const SINK_KINDS: [&str; 6] = [
+    "Tracer::emit",
+    "SimRng::substream",
+    "the trace digest fold",
+    "Symbol interning",
+    "SimRng::from_seed",
+    "SimRng::stream",
+];
 
 /// Hash-container constructors whose results carry iteration-order
 /// nondeterminism when iterated.
@@ -117,6 +134,50 @@ fn render_chain(chain: &[String]) -> String {
     chain.join(" -> ")
 }
 
+/// A sink a parameter reaches, with the callees the value passes
+/// through on the way there, innermost first (none for a sink in the
+/// function itself).
+#[derive(Clone, Debug, PartialEq)]
+pub struct SinkWitness {
+    /// One of [`SINK_KINDS`].
+    pub sink: &'static str,
+    /// Qualified callee names, capped at [`MAX_HOPS`].
+    pub via: Vec<String>,
+}
+
+impl SinkWitness {
+    /// The form messages and the `--dataflow` doc show:
+    /// ``Tracer::emit (via `a`) (via `b`)``.
+    pub fn render(&self) -> String {
+        let mut out = self.sink.to_string();
+        for callee in &self.via {
+            out.push_str(&format!(" (via `{callee}`)"));
+        }
+        out
+    }
+}
+
+/// Records a witness for `sink` through `via` (plus `hop`, the callee
+/// it came from) unless `sinks` already holds one for that kind with no
+/// more hops. One witness per kind, fewest hops wins, first wins a tie —
+/// the same "chains never churn" rule [`merge_into`] uses for taint.
+fn add_sink(sinks: &mut Vec<SinkWitness>, sink: &'static str, via: &[String], hop: Option<&str>) {
+    let hops = (via.len() + usize::from(hop.is_some())).min(MAX_HOPS);
+    let slot = sinks.iter().position(|w| w.sink == sink);
+    if slot.is_some_and(|i| sinks[i].via.len() <= hops) {
+        return;
+    }
+    let mut via = via.to_vec();
+    if let Some(hop) = hop {
+        push_hop(&mut via, hop.to_string());
+    }
+    let witness = SinkWitness { sink, via };
+    match slot {
+        Some(i) => sinks[i] = witness,
+        None => sinks.push(witness),
+    }
+}
+
 /// What one function exposes to its callers, computed to a workspace
 /// fixed point.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -128,7 +189,7 @@ pub struct Summary {
     pub param_to_return: bool,
     /// Sinks a parameter reaches inside this function (or deeper), so a
     /// tainted argument is an R14 hit at the call site.
-    pub param_sinks: Vec<String>,
+    pub param_sinks: Vec<SinkWitness>,
 }
 
 /// Per-variable dataflow fact.
@@ -196,7 +257,8 @@ pub struct FnRow {
     pub returns_taint: Option<String>,
     /// A parameter flows to the return value.
     pub param_to_return: bool,
-    /// Sinks reachable from a parameter.
+    /// Sinks reachable from a parameter: one rendered [`SinkWitness`]
+    /// per sink kind.
     pub param_sinks: Vec<String>,
     /// The function can block the OS thread (transitively).
     pub may_block: bool,
@@ -227,6 +289,15 @@ pub struct Doc {
     pub findings: Vec<FindingRow>,
 }
 
+/// How the summary worklist ended.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FixedPoint {
+    /// The worklist drained: every summary is stable under its callees'.
+    pub reached: bool,
+    /// Per-function analyses run, the initial pass included.
+    pub analyses: usize,
+}
+
 /// What the dataflow phase hands back to report assembly.
 #[derive(Debug, Default)]
 pub struct Outcome {
@@ -238,15 +309,28 @@ pub struct Outcome {
     pub notes: Vec<String>,
     /// The `--dataflow` document.
     pub doc: Doc,
+    /// Whether the summaries converged, and at what cost.
+    pub fixed_point: FixedPoint,
 }
 
 /// Runs R14–R16 over the parsed set, appending hits to each file's
 /// report through its suppression table. R14 and R15 are ratcheted
 /// (`r14` / `r15` keys in `hetlint.ratchet`); R16 is a hard violation.
 pub fn check(files: &mut [LintedFile], budgets: &Ratchet, g: &CallGraph) -> Outcome {
-    let (r14, r15, r16, doc) = {
+    check_within(files, budgets, g, MAX_ROUNDS)
+}
+
+/// [`check`] with the worklist capped at `max_rounds` analyses per
+/// function.
+fn check_within(
+    files: &mut [LintedFile],
+    budgets: &Ratchet,
+    g: &CallGraph,
+    max_rounds: usize,
+) -> Outcome {
+    let (r14, r15, r16, doc, fixed_point) = {
         let ctx = Ctx::new(files, g);
-        let summaries = ctx.converge();
+        let (summaries, fixed_point) = ctx.converge(max_rounds * g.nodes.len());
         let may_block = ctx.may_block();
         let mut r14: Vec<Finding> = Vec::new();
         for n in 0..g.nodes.len() {
@@ -271,14 +355,21 @@ pub fn check(files: &mut [LintedFile], budgets: &Ratchet, g: &CallGraph) -> Outc
                     .as_ref()
                     .map(|t| t.kind.describe().to_string()),
                 param_to_return: summaries[n].param_to_return,
-                param_sinks: summaries[n].param_sinks.clone(),
+                param_sinks: summaries[n].param_sinks.iter().map(SinkWitness::render).collect(),
                 may_block: may_block[n],
             });
         }
-        (r14, r15, r16, doc)
+        (r14, r15, r16, doc, fixed_point)
     };
 
-    let mut out = Outcome { doc, ..Outcome::default() };
+    let mut out = Outcome { doc, fixed_point, ..Outcome::default() };
+    if !fixed_point.reached {
+        out.notes.push(format!(
+            "R14 summaries stopped short of their fixed point after {} analyses \
+             (cap: {max_rounds} per function); taint findings may be incomplete",
+            fixed_point.analyses
+        ));
+    }
     out.nondet_taint =
         apply_budget(files, RuleId::R14, r14, budgets.nondet_taint, &mut out);
     out.discarded_effects =
@@ -369,41 +460,67 @@ fn push_hit(file: &mut LintedFile, rule: RuleId, line: usize, message: String) {
     }
 }
 
+/// One function's CFG statement calls mapped back onto call-graph
+/// edges, resolved once up front.
+struct Sites {
+    /// `first[b][s]`: index into `targets` of the first call of
+    /// `cfg.blocks[b].stmts[s]`.
+    first: Vec<Vec<usize>>,
+    /// Target nodes of every CFG call, in block, statement, call order.
+    targets: Vec<Vec<usize>>,
+}
+
+impl Sites {
+    /// The targets of each of `stmt`'s calls (`stmt` is `stmts[s]` of
+    /// block `b`).
+    fn of(&self, b: usize, s: usize, stmt: &Stmt) -> &[Vec<usize>] {
+        let first = self.first[b][s];
+        &self.targets[first..first + stmt.calls.len()]
+    }
+}
+
 /// Shared immutable analysis context.
 struct Ctx<'a> {
     files: &'a [LintedFile],
     g: &'a CallGraph,
-    /// Per-node `(line, final name)` → resolved target nodes, mapping
-    /// CFG statement calls back onto graph edges.
-    resolve: Vec<BTreeMap<(usize, String), Vec<usize>>>,
+    /// Per node: its CFG calls' resolved targets.
+    sites: Vec<Sites>,
 }
 
 impl<'a> Ctx<'a> {
     fn new(files: &'a [LintedFile], g: &'a CallGraph) -> Ctx<'a> {
-        let mut resolve = vec![BTreeMap::new(); g.nodes.len()];
-        for (n, map) in resolve.iter_mut().enumerate() {
+        let mut sites = Vec::with_capacity(g.nodes.len());
+        for n in 0..g.nodes.len() {
             let item = g.item(files, n);
+            // `(line, final name)` → targets, matching a CFG call to the
+            // parsed calls the graph resolved.
+            let mut resolve: BTreeMap<(usize, &str), Vec<usize>> = BTreeMap::new();
             for &(ci, target) in &g.call_targets[n] {
                 let name = match &item.calls[ci].callee {
                     Callee::Path(segs) => match segs.last() {
-                        Some(s) => s.clone(),
+                        Some(s) => s.as_str(),
                         None => continue,
                     },
-                    Callee::Method(m) => m.clone(),
+                    Callee::Method(m) => m.as_str(),
                     Callee::Macro(_) => continue,
                 };
-                map.entry((item.calls[ci].line, name))
-                    .or_insert_with(Vec::new)
-                    .push(target);
+                resolve.entry((item.calls[ci].line, name)).or_default().push(target);
             }
+            let mut site = Sites { first: Vec::new(), targets: Vec::new() };
+            for block in &item.cfg.blocks {
+                let mut firsts = Vec::with_capacity(block.stmts.len());
+                for stmt in &block.stmts {
+                    firsts.push(site.targets.len());
+                    for call in &stmt.calls {
+                        let key = (call.line, call.name.as_str());
+                        site.targets.push(resolve.get(&key).cloned().unwrap_or_default());
+                    }
+                }
+                site.first.push(firsts);
+            }
+            sites.push(site);
         }
-        Ctx { files, g, resolve }
-    }
-
-    fn targets_of(&self, n: usize, call: &StmtCall) -> &[usize] {
-        self.resolve[n]
-            .get(&(call.line, call.name.clone()))
-            .map_or(&[][..], Vec::as_slice)
+        Ctx { files, g, sites }
     }
 
     /// R14 findings only make sense where the determinism contract
@@ -449,23 +566,43 @@ impl<'a> Ctx<'a> {
         may
     }
 
-    /// Iterates per-function analyses until every summary is stable.
-    fn converge(&self) -> Vec<Summary> {
-        let mut summaries = vec![Summary::default(); self.g.nodes.len()];
-        for _ in 0..MAX_ROUNDS {
-            let mut changed = false;
-            for n in 0..self.g.nodes.len() {
-                let s = self.analyze_fn(&summaries, n, None);
-                if s != summaries[n] {
-                    summaries[n] = s;
-                    changed = true;
+    /// Runs per-function analyses to the workspace fixed point: every
+    /// node once in index order, then a node again only when the
+    /// summary of one of its callees changed. Stops after `cap`
+    /// analyses.
+    fn converge(&self, cap: usize) -> (Vec<Summary>, FixedPoint) {
+        let nodes = self.g.nodes.len();
+        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nodes];
+        for (n, site) in self.sites.iter().enumerate() {
+            for &t in site.targets.iter().flatten() {
+                if t != n && callers[t].last() != Some(&n) {
+                    callers[t].push(n);
                 }
             }
-            if !changed {
-                break;
+        }
+        let mut summaries = vec![Summary::default(); nodes];
+        let mut queue: VecDeque<usize> = (0..nodes).collect();
+        let mut queued = vec![true; nodes];
+        let mut fp = FixedPoint::default();
+        while let Some(n) = queue.pop_front() {
+            if fp.analyses == cap {
+                return (summaries, fp);
+            }
+            queued[n] = false;
+            fp.analyses += 1;
+            let s = self.analyze_fn(&summaries, n, None);
+            if s != summaries[n] {
+                summaries[n] = s;
+                for &p in &callers[n] {
+                    if !queued[p] {
+                        queued[p] = true;
+                        queue.push_back(p);
+                    }
+                }
             }
         }
-        summaries
+        fp.reached = true;
+        (summaries, fp)
     }
 
     /// Runs the forward taint fixed point over one function's CFG.
@@ -491,8 +628,8 @@ impl<'a> Ctx<'a> {
             let mut changed = false;
             for &b in &rpo {
                 let Some(mut s) = in_states[b].clone() else { continue };
-                for stmt in &cfg.blocks[b].stmts {
-                    self.transfer(summaries, n, stmt, &mut s, None, &mut summary);
+                for si in 0..cfg.blocks[b].stmts.len() {
+                    self.transfer(summaries, n, (b, si), &mut s, None, &mut summary);
                 }
                 for &succ in &cfg.blocks[b].succs {
                     match &mut in_states[succ] {
@@ -511,8 +648,8 @@ impl<'a> Ctx<'a> {
         if let Some(out) = findings {
             for &b in &rpo {
                 let Some(mut s) = in_states[b].clone() else { continue };
-                for stmt in &cfg.blocks[b].stmts {
-                    self.transfer(summaries, n, stmt, &mut s, Some(out), &mut summary);
+                for si in 0..cfg.blocks[b].stmts.len() {
+                    self.transfer(summaries, n, (b, si), &mut s, Some(out), &mut summary);
                 }
             }
         }
@@ -520,17 +657,20 @@ impl<'a> Ctx<'a> {
     }
 
     /// One statement's transfer function: sources, sinks, calls, kills.
+    /// `(b, si)` places the statement in `n`'s CFG.
     fn transfer(
         &self,
         summaries: &[Summary],
         n: usize,
-        stmt: &Stmt,
+        (b, si): (usize, usize),
         state: &mut State,
         mut findings: Option<&mut Vec<Finding>>,
         summary: &mut Summary,
     ) {
         let node = &self.g.nodes[n];
         let item = self.g.item(self.files, n);
+        let stmt = &item.cfg.blocks[b].stmts[si];
+        let targets = self.sites[n].of(b, si, stmt);
         let exempt = self.sink_exempt(n);
 
         // 1. Ambient sources generated by this statement.
@@ -561,7 +701,7 @@ impl<'a> Ctx<'a> {
         // 2. Flow through callees, via their converged summaries.
         let mut through: Option<Taint> = None;
         let mut through_param = false;
-        for call in &stmt.calls {
+        for (call, call_targets) in stmt.calls.iter().zip(targets) {
             let arg_taint = call
                 .args
                 .iter()
@@ -569,7 +709,7 @@ impl<'a> Ctx<'a> {
                 .or_else(|| ambient.clone());
             let arg_param = call.args.iter().any(|a| state.get(a).is_some_and(|v| v.from_param));
             let mut reported = false;
-            for &t in self.targets_of(n, call) {
+            for &t in call_targets {
                 if t == n {
                     continue;
                 }
@@ -585,7 +725,8 @@ impl<'a> Ctx<'a> {
                 if let Some(at) = &arg_taint {
                     if !cs.param_sinks.is_empty() && !reported {
                         if let Some(out) = findings.as_deref_mut() {
-                            for sink in &cs.param_sinks {
+                            for witness in &cs.param_sinks {
+                                let sink = witness.render();
                                 out.push((
                                     node.file,
                                     call.line,
@@ -611,11 +752,8 @@ impl<'a> Ctx<'a> {
                     }
                 }
                 if arg_param {
-                    for sink in &cs.param_sinks {
-                        let desc = format!("{sink} (via `{callee}`)");
-                        if !summary.param_sinks.contains(&desc) {
-                            summary.param_sinks.push(desc);
-                        }
+                    for w in &cs.param_sinks {
+                        add_sink(&mut summary.param_sinks, w.sink, &w.via, Some(callee));
                     }
                     if cs.param_to_return {
                         through_param = true;
@@ -665,8 +803,8 @@ impl<'a> Ctx<'a> {
                 }
                 let arg_param =
                     call.args.iter().any(|a| state.get(a).is_some_and(|v| v.from_param));
-                if arg_param && !summary.param_sinks.contains(&sink.to_string()) {
-                    summary.param_sinks.push(sink.to_string());
+                if arg_param {
+                    add_sink(&mut summary.param_sinks, sink, &[], None);
                 }
             }
         }
@@ -802,7 +940,8 @@ impl<'a> Ctx<'a> {
                 continue;
             }
             let stmt = &cfg.blocks[b].stmts[i];
-            if let Some(what) = self.suspension_of(n, may_block, stmt) {
+            let targets = self.sites[n].of(b, i, stmt);
+            if let Some(what) = self.suspension_of(n, may_block, stmt, targets) {
                 let mut lines = vec![stmt.line];
                 let mut cur = pos;
                 while let Some(&p) = parent.get(&cur) {
@@ -846,21 +985,25 @@ impl<'a> Ctx<'a> {
     }
 
     /// What makes a statement a suspension point for R16, if anything.
-    fn suspension_of(&self, n: usize, may_block: &[bool], stmt: &Stmt) -> Option<String> {
+    fn suspension_of(
+        &self,
+        n: usize,
+        may_block: &[bool],
+        stmt: &Stmt,
+        targets: &[Vec<usize>],
+    ) -> Option<String> {
         if let Some(b) = stmt.blocking.first() {
             return Some(format!("blocking `{b}`"));
         }
         if stmt.has_await {
             return Some("an `.await` suspension point".to_string());
         }
-        for call in &stmt.calls {
-            for &t in self.targets_of(n, call) {
-                if t != n && may_block[t] {
-                    return Some(format!(
-                        "a call to `{}`, which can block (transitively)",
-                        self.g.nodes[t].qname
-                    ));
-                }
+        for &t in targets.iter().flatten() {
+            if t != n && may_block[t] {
+                return Some(format!(
+                    "a call to `{}`, which can block (transitively)",
+                    self.g.nodes[t].qname
+                ));
             }
         }
         None
@@ -1209,6 +1352,30 @@ mod tests {
         run(&mut files, "");
         assert!(rule_hits(&files, RuleId::R16).is_empty());
         assert!(files[0].report.suppressed.iter().any(|v| v.rule == RuleId::R16));
+    }
+
+    #[test]
+    fn worklist_reaches_the_fixed_point_and_a_cap_is_never_silent() {
+        let src = "fn f(tr: T) {\nlet t = Instant::now();\nping(tr, t);\n}\n\
+            fn ping(tr: T, v: u64) {\ntr.emit(kind, v);\npong(tr, v);\n}\n\
+            fn pong(tr: T, v: u64) {\nping(tr, v);\n}\n";
+        let mut files = set(&[("sim", "crates/sim/src/a.rs", src)]);
+        let out = run(&mut files, "");
+        // Three initial analyses; `ping` changes and requeues `f`
+        // (`pong` is still queued), `pong` changes and requeues `ping`.
+        assert_eq!(out.fixed_point, FixedPoint { reached: true, analyses: 5 });
+        assert!(!out.notes.iter().any(|n| n.contains("fixed point")), "{:?}", out.notes);
+
+        let mut files = set(&[("sim", "crates/sim/src/a.rs", src)]);
+        let budgets = crate::ratchet::parse("").unwrap();
+        let g = graph::build(&files);
+        let out = check_within(&mut files, &budgets, &g, 1);
+        assert_eq!(out.fixed_point, FixedPoint { reached: false, analyses: 3 });
+        assert!(
+            out.notes.iter().any(|n| n.contains("stopped short of their fixed point after 3")),
+            "{:?}",
+            out.notes
+        );
     }
 
     #[test]

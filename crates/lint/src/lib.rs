@@ -571,6 +571,8 @@ pub struct WorkspaceOutput {
     pub graph: graph::CallGraph,
     /// Converged dataflow summaries and R14–R16 findings.
     pub dataflow: dataflow::Doc,
+    /// Whether the dataflow summaries reached their fixed point.
+    pub fixed_point: dataflow::FixedPoint,
 }
 
 /// As [`lint_set`], also returning the workspace call graph (for
@@ -653,6 +655,7 @@ pub fn finish_workspace(
         report,
         graph: outcome.interproc.graph,
         dataflow: outcome.dataflow.doc,
+        fixed_point: outcome.dataflow.fixed_point,
     }
 }
 

@@ -8,7 +8,8 @@
 //! converged per-function summaries of the whole call graph.
 
 use hetflow_lint::{
-    json, lint_set, lint_set_all, ratchet, FileContext, FileKind, Report, RuleId, Violation,
+    dataflow, json, lint_set, lint_set_all, ratchet, FileContext, FileKind, Report, RuleId,
+    Violation,
 };
 
 fn inputs(files: Vec<(&str, &str, &str)>) -> Vec<(FileContext, String)> {
@@ -99,6 +100,73 @@ fn r14_within_budget_surfaces_as_notes_not_violations() {
         "{:?}",
         report.violations
     );
+}
+
+/// `ping` emits its parameter and hands it to `pong`, which hands it
+/// back: a two-function call cycle reaching `Tracer::emit`, fed once
+/// from `f` with wall-clock time.
+const PING_PONG: &str = "fn f(tr: T) {\nlet t = Instant::now();\nping(tr, t);\n}\n\
+    fn ping(tr: T, v: u64) {\ntr.emit(kind, v);\npong(tr, v);\n}\n\
+    fn pong(tr: T, v: u64) {\nping(tr, v);\n}\n";
+
+#[test]
+fn r14_call_cycle_counts_one_site_with_the_direct_witness() {
+    let budgets = ratchet::parse("").unwrap();
+    let out = lint_set_all(&inputs(vec![("sim", "crates/sim/src/cycle.rs", PING_PONG)]), &budgets);
+    let r14 = rule_hits(&out.report, RuleId::R14);
+    assert_eq!(r14.len(), 1, "one tainted call site, one hit: {r14:?}");
+    assert_eq!(r14[0].line, 3);
+    assert!(
+        r14[0].message.contains("into `sim::cycle::ping`, which feeds Tracer::emit;"),
+        "the direct sink is the witness: {}",
+        r14[0].message
+    );
+    assert_eq!(out.report.nondet_taint, Some((1, 0)));
+    let row = |q: &str| out.dataflow.fns.iter().find(|f| f.qname == q).unwrap();
+    assert_eq!(row("sim::cycle::ping").param_sinks, ["Tracer::emit"]);
+    assert_eq!(row("sim::cycle::pong").param_sinks, ["Tracer::emit (via `sim::cycle::ping`)"]);
+    assert!(out.fixed_point.reached, "{:?}", out.fixed_point);
+}
+
+#[test]
+fn r14_sink_three_calls_deep_keeps_its_witness() {
+    let src = "fn f(tr: T) {\nlet t = Instant::now();\na(tr, t);\n}\n\
+        fn a(tr: T, v: u64) {\nb(tr, v);\n}\n\
+        fn b(tr: T, v: u64) {\nc(tr, v);\n}\n\
+        fn c(tr: T, v: u64) {\ntr.emit(kind, v);\n}\n";
+    let budgets = ratchet::parse("").unwrap();
+    let out = lint_set_all(&inputs(vec![("sim", "crates/sim/src/chain.rs", src)]), &budgets);
+    let r14 = rule_hits(&out.report, RuleId::R14);
+    assert_eq!(r14.len(), 1, "{r14:?}");
+    assert_eq!(r14[0].line, 3);
+    assert!(
+        r14[0].message.contains(
+            "into `sim::chain::a`, which feeds \
+             Tracer::emit (via `sim::chain::c`) (via `sim::chain::b`);"
+        ),
+        "depth-3 witness lost: {}",
+        r14[0].message
+    );
+    assert_eq!(out.report.nondet_taint, Some((1, 0)));
+}
+
+#[test]
+fn r14_summaries_keep_one_witness_per_sink_kind() {
+    // `all` feeds its parameter to every sink kind, some of them twice
+    // and some also through `relay`; its summary holds each kind once.
+    let src = "fn all(tr: T, v: u64) {\ntr.emit(kind, v);\nrelay(tr, v);\ntr.emit(kind, v);\n\
+        let r = rng.substream(v);\nlet s = SimRng::from_seed(v);\nlet u = SimRng::stream(v);\n\
+        d.fold_event(v);\nd.fold_bytes(v);\nlet y = Symbol::intern(v);\nlet z = tab.intern(v);\n}\n\
+        fn relay(tr: T, v: u64) {\ntr.emit(kind, v);\nd.fold_event(v);\n}\n";
+    let budgets = ratchet::parse("").unwrap();
+    let out = lint_set_all(&inputs(vec![("sim", "crates/sim/src/sinks.rs", src)]), &budgets);
+    let all = out.dataflow.fns.iter().find(|f| f.qname == "sim::sinks::all").unwrap();
+    let mut got = all.param_sinks.clone();
+    got.sort();
+    let mut want: Vec<String> =
+        dataflow::SINK_KINDS.iter().map(|s| s.to_string()).collect();
+    want.sort();
+    assert_eq!(got, want, "local witnesses (0 hops) beat the ones through `relay`");
 }
 
 // ---- R15 discarded fabric effects ---------------------------------------

@@ -167,6 +167,45 @@ fn dataflow_json_of_real_workspace_round_trips() {
 }
 
 #[test]
+fn dataflow_summaries_converge_on_the_real_tree() {
+    // The R14 summaries are a finite lattice: one sink witness per sink
+    // kind, so a call cycle cannot grow a summary without bound and the
+    // worklist drains instead of stopping at its cap.
+    use hetflow_lint::{dataflow, json};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let out = hetflow_lint::run_all(root).expect("workspace walk failed");
+    assert!(out.fixed_point.reached, "dataflow worklist hit its cap: {:?}", out.fixed_point);
+    assert!(
+        out.fixed_point.analyses >= out.dataflow.fns.len(),
+        "every function is analysed at least once: {:?}",
+        out.fixed_point
+    );
+    for f in &out.dataflow.fns {
+        let mut kinds: Vec<&str> =
+            f.param_sinks.iter().map(|s| s.split(" (via ").next().unwrap_or(s)).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert!(
+            kinds.len() == f.param_sinks.len() && kinds.len() <= dataflow::SINK_KINDS.len(),
+            "`{}` holds {} sink witnesses for {} sink kinds: {:?}",
+            f.qname,
+            f.param_sinks.len(),
+            kinds.len(),
+            f.param_sinks
+        );
+        assert!(kinds.iter().all(|k| dataflow::SINK_KINDS.contains(k)), "{kinds:?}");
+    }
+    // The witness text is deterministic: a second run serializes to
+    // the same bytes.
+    let again = hetflow_lint::run_all(root).expect("workspace walk failed");
+    assert_eq!(
+        json::dataflow_to_json(&out.dataflow),
+        json::dataflow_to_json(&again.dataflow),
+        "two runs disagree on the dataflow document"
+    );
+}
+
+#[test]
 fn warm_cache_run_reproduces_the_cold_run_exactly() {
     // The incremental cache must be invisible in the output: a cold
     // run (all misses) and a warm run (all hits) over the same tree
