@@ -203,12 +203,12 @@ fn fit_member(
     reference: &[LabelledStructure],
     rng: &mut SimRng,
 ) -> PairPotential {
-    let mut data: Vec<LabelledStructure> = Vec::new();
+    let mut data: Vec<&LabelledStructure> = Vec::new();
     let bag = bag_indices(pretrain.len(), DEFAULT_BAG_FRACTION, rng);
-    data.extend(bag.into_iter().map(|i| pretrain[i].clone()));
+    data.extend(bag.into_iter().map(|i| &pretrain[i]));
     if !reference.is_empty() {
         let bag = bag_indices(reference.len(), DEFAULT_BAG_FRACTION.min(1.0), rng);
-        data.extend(bag.into_iter().map(|i| reference[i].clone()));
+        data.extend(bag.into_iter().map(|i| &reference[i]));
     }
     PairPotential::fit(
         &data,

@@ -13,11 +13,13 @@
 //! data and instructions.
 
 use crate::degradation::{DegradationPolicy, DegradationState};
-use hetflow_chem::MoleculeLibrary;
+use hetflow_chem::{MoleculeLibrary, N_FEATURES};
 use hetflow_core::calibration::tasks as cal;
 use hetflow_core::{Deployment, UtilizationReport};
 use hetflow_fabric::{TaskFn, TaskWork};
-use hetflow_ml::{bag_indices, top_k, RffRidge, SurrogateParams, DEFAULT_BAG_FRACTION};
+use hetflow_ml::{
+    bag_indices, top_k, RffRidge, SurrogateParams, DEFAULT_BAG_FRACTION, RFF_BLOCK,
+};
 use hetflow_steer::{Payload, TaskRecord, Thinker};
 use hetflow_sim::{Samples, Sim, SimRng, SimTime};
 use std::cell::{Cell, RefCell};
@@ -467,8 +469,17 @@ fn train_task(
 
 fn infer_task(lib: Rc<MoleculeLibrary>, model: Rc<RffRidge>, duration: f64) -> TaskFn {
     Rc::new(move |_ctx| {
-        let scores: Vec<f64> =
-            (0..lib.len()).map(|i| model.predict(&lib.features(i))).collect();
+        // One block of feature rows at a time: the blocked kernel's
+        // scratch, never a library-sized copy.
+        let mut scores = Vec::with_capacity(lib.len());
+        let mut block = Vec::with_capacity(RFF_BLOCK * N_FEATURES);
+        for start in (0..lib.len()).step_by(RFF_BLOCK) {
+            block.clear();
+            for id in start..(start + RFF_BLOCK).min(lib.len()) {
+                block.extend_from_slice(&lib.features(id));
+            }
+            model.predict_many(&block, &mut scores);
+        }
         TaskWork::new(scores, cal::MOLDESIGN_INFER_OUT_BYTES, hetflow_sim::time::secs(duration))
     })
 }

@@ -9,6 +9,14 @@
 use crate::linalg::Matrix;
 use hetflow_sim::SimRng;
 
+/// Independent sums the blocked kernels keep in flight: a batch kernel
+/// ([`RandomFourierFeatures::transform_batch`],
+/// [`crate::RffRidge::predict_many`]) scores this many rows per feature,
+/// and a single row ([`crate::RffRidge::predict`]) this many features per
+/// pass. Enough to fill the vector lanes and hide the add latency, small
+/// enough that a block and its partial sums stay in L1.
+pub const RFF_BLOCK: usize = 64;
+
 /// A fixed random feature map.
 #[derive(Clone, Debug)]
 pub struct RandomFourierFeatures {
@@ -45,20 +53,83 @@ impl RandomFourierFeatures {
         self.w.rows()
     }
 
-    /// Maps one input vector.
-    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.d_in(), "feature dim mismatch");
-        let proj = self.w.matvec(x);
-        proj.iter()
-            .zip(&self.b)
-            .map(|(p, b)| self.scale * (p + b).cos())
-            .collect()
+    /// `(W, b, scale)`, for the scalar reference kernels in the tests.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&Matrix, &[f64], f64) {
+        (&self.w, &self.b, self.scale)
     }
 
-    /// Maps a batch into a design matrix (`n × D`).
+    /// Maps one input vector: the blocked kernel on a block of one row,
+    /// [`RFF_BLOCK`] features per pass.
+    pub fn transform(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.d_in(), "feature dim mismatch");
+        let (xt, _) = x.as_chunks::<1>();
+        let mut z = [[0.0; 1]; RFF_BLOCK];
+        let mut out = Vec::with_capacity(self.d_out());
+        for i0 in (0..self.d_out()).step_by(RFF_BLOCK) {
+            out.extend(self.features_of_block(i0, xt, &mut z).iter().map(|z_i| z_i[0]));
+        }
+        out
+    }
+
+    /// Maps a batch into a design matrix (`n × D`), [`RFF_BLOCK`] rows at
+    /// a time; row `r` equals `transform(&xs[r])` bit for bit.
     pub fn transform_batch(&self, xs: &[Vec<f64>]) -> Matrix {
-        let rows: Vec<Vec<f64>> = xs.iter().map(|x| self.transform(x)).collect();
-        Matrix::from_rows(&rows)
+        assert!(!xs.is_empty());
+        let mut out = Matrix::zeros(xs.len(), self.d_out());
+        let mut xt = vec![[0.0; RFF_BLOCK]; self.d_in()];
+        let mut z = [[0.0; RFF_BLOCK]; 1];
+        for (block, rows) in xs.chunks(RFF_BLOCK).enumerate() {
+            for (k, x) in rows.iter().enumerate() {
+                assert_eq!(x.len(), self.d_in(), "feature dim mismatch");
+                for (x_j, &v) in xt.iter_mut().zip(x) {
+                    x_j[k] = v;
+                }
+            }
+            for i in 0..self.d_out() {
+                let z = &self.features_of_block(i, &xt, &mut z)[0];
+                for (k, &zk) in z[..rows.len()].iter().enumerate() {
+                    out[(block * RFF_BLOCK + k, i)] = zk;
+                }
+            }
+        }
+        out
+    }
+
+    /// Features `i0..i0 + NF` (fewer at the end of the map) of the `NB`
+    /// rows of a feature-major block, written to the front of `z` and
+    /// returned as that prefix. `xt[j][k]` is input `j` of row `k`.
+    ///
+    /// Feature `i` of row `k` is `scale · cos(p + b_i)` where
+    /// `p = Σ_j w_ij · x_kj` is summed in `j` order from `-0.0`, exactly as
+    /// `f64: Sum` sums a dot product (the scalar form this replaced). The
+    /// `NF × NB` sums are independent, so they advance side by side
+    /// instead of as one latency chain each: a batch passes `NB` rows and
+    /// one feature, a single row `NF` features. Lanes past the rows a
+    /// caller filled hold stale inputs, and their results are not read.
+    pub(crate) fn features_of_block<'z, const NB: usize, const NF: usize>(
+        &self,
+        i0: usize,
+        xt: &[[f64; NB]],
+        z: &'z mut [[f64; NB]; NF],
+    ) -> &'z [[f64; NB]] {
+        let chunk = NF.min(self.d_out() - i0);
+        let z = &mut z[..chunk];
+        for (t, z_i) in z.iter_mut().enumerate() {
+            let mut p = [-0.0; NB];
+            for (&w_ij, x_j) in self.w.row(i0 + t).iter().zip(xt) {
+                for (pk, &x) in p.iter_mut().zip(x_j) {
+                    *pk += w_ij * x;
+                }
+            }
+            *z_i = p;
+        }
+        for (p, &b) in z.iter_mut().zip(&self.b[i0..]) {
+            for pk in p.iter_mut() {
+                *pk = self.scale * (*pk + b).cos();
+            }
+        }
+        z
     }
 }
 

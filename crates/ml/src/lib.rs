@@ -7,7 +7,9 @@
 //! active learning, and train deterministically:
 //!
 //! * [`RffRidge`] — random-Fourier-feature ridge regression, the
-//!   molecule-property surrogate (closed-form training).
+//!   molecule-property surrogate (closed-form training);
+//!   [`RffRidge::predict_many`] scores a library in [`RFF_BLOCK`]-row
+//!   blocks, bit-identical to row-by-row [`RffRidge::predict`].
 //! * [`Mlp`] — a small SGD-trained network, used in ablations.
 //! * [`PairPotential`] — a linear pair potential fit jointly on energies
 //!   and forces; its analytic gradient is exact, so MD sampling can run
@@ -15,6 +17,11 @@
 //! * [`Ensemble`] — bagged ensembles with scoped-thread-parallel training
 //!   and mean/std prediction for UCB acquisition ([`rank`]).
 //! * [`linalg`] — the dense matrix/Cholesky kernel behind the solvers.
+//!
+//! Every kernel here is bit-reproducible: a faster version must produce
+//! the same bits as the scalar code it replaces (same operands, same
+//! order, no fused multiply-add). The test-only `oracle` module keeps the
+//! scalar kernels and checks that on `to_bits()`.
 //!
 //! ```
 //! use hetflow_chem::MoleculeLibrary;
@@ -42,6 +49,8 @@ pub mod features;
 pub mod linalg;
 pub mod metrics;
 pub mod mlp;
+#[cfg(test)]
+mod oracle;
 pub mod pairpot;
 pub mod rank;
 pub mod ridge;
@@ -49,7 +58,7 @@ pub mod surrogate;
 pub mod tune;
 
 pub use ensemble::{bag_indices, Ensemble, MeanStd, DEFAULT_BAG_FRACTION};
-pub use features::RandomFourierFeatures;
+pub use features::{RandomFourierFeatures, RFF_BLOCK};
 pub use linalg::{Cholesky, LinalgError, Matrix};
 pub use metrics::{mae, r2, rmse};
 pub use mlp::{Mlp, MlpParams};

@@ -8,6 +8,9 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
+/// Rows [`Matrix::gram`] accumulates per pass over the Gram matrix.
+const GRAM_ROWS: usize = 16;
+
 /// Errors from numerical routines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinalgError {
@@ -110,24 +113,31 @@ impl Matrix {
     }
 
     /// `selfᵀ * self` (the Gram matrix), exploiting symmetry.
+    ///
+    /// Rows are taken [`GRAM_ROWS`] at a time so row `i` of the upper
+    /// triangle stays in L1 while the block's rows add to it. Every entry
+    /// still adds `x_ri · x_rj` for `r = 0, 1, …` in order (skipping rows
+    /// with `x_ri == 0`), the same operations as a plain row loop.
     pub fn gram(&self) -> Matrix {
         let d = self.cols;
         let mut g = Matrix::zeros(d, d);
-        for r in 0..self.rows {
-            let row = self.row(r);
+        for block in self.data.chunks(d.max(1) * GRAM_ROWS) {
             for i in 0..d {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in i..d {
-                    g[(i, j)] += a * row[j];
+                let g_row = &mut g.data[i * d + i..(i + 1) * d];
+                for row in block.chunks_exact(d.max(1)) {
+                    let a = row[i];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (gij, &b) in g_row.iter_mut().zip(&row[i..]) {
+                        *gij += a * b;
+                    }
                 }
             }
         }
         for i in 0..d {
             for j in 0..i {
-                g[(i, j)] = g[(j, i)];
+                g.data[i * d + j] = g.data[j * d + i];
             }
         }
         g
@@ -170,31 +180,67 @@ impl Matrix {
         }
     }
 
+    /// The row-major backing buffer.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Cholesky factorization `A = L Lᵀ` for symmetric positive-definite
-    /// `A`.
+    /// `A`. Reads only the lower triangle; see [`Matrix::into_cholesky`].
     pub fn cholesky(&self) -> Result<Cholesky, LinalgError> {
+        self.clone().into_cholesky()
+    }
+
+    /// [`Matrix::cholesky`] in place: the factor takes over this
+    /// matrix's buffer, so no second `n × n` buffer is allocated.
+    ///
+    /// Left-looking (column by column): column `j` of `L` starts as the
+    /// lower column `a_ij` (`i ≥ j`) and subtracts `l_ik · l_jk` for
+    /// `k = 0, 1, …, j-1`. Each entry sees exactly the operations of the
+    /// row-by-row textbook loop in the same order, so the factor is
+    /// bit-identical to it; the speed comes from running the `n - j`
+    /// independent chains of one column side by side. `Lᵀ` is stored
+    /// (row `k` of the buffer holds column `k` of `L`), which makes those
+    /// chains contiguous. The first failing pivot is the same one the
+    /// row-by-row loop reports, since pivots are checked in index order
+    /// either way.
+    pub fn into_cholesky(mut self) -> Result<Cholesky, LinalgError> {
         if self.rows != self.cols {
             return Err(LinalgError::ShapeMismatch);
         }
         let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+        let data = &mut self.data;
+        for j in 0..n {
+            // Row j of the buffer becomes column j of L: seed it with the
+            // lower column of A (row j's own upper entries are never read).
+            for i in j + 1..n {
+                data[j * n + i] = data[i * n + j];
+            }
+            let (done, rest) = data.split_at_mut(j * n);
+            let col = &mut rest[j..n];
+            for k in 0..j {
+                let lk = &done[k * n + j..(k + 1) * n];
+                let l_jk = lk[0];
+                for (sum, &l_ik) in col.iter_mut().zip(lk) {
+                    *sum -= l_ik * l_jk;
                 }
             }
+            let pivot = col[0];
+            if pivot <= 0.0 {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            let l_jj = pivot.sqrt();
+            col[0] = l_jj;
+            for l_ij in &mut col[1..] {
+                *l_ij /= l_jj;
+            }
         }
-        Ok(Cholesky { l })
+        // The strict lower triangle still holds A's entries; Lᵀ is upper
+        // triangular with exact zeros there.
+        for i in 0..n {
+            data[i * n..i * n + i].fill(0.0);
+        }
+        Ok(Cholesky { lt: self })
     }
 }
 
@@ -216,38 +262,55 @@ impl IndexMut<(usize, usize)> for Matrix {
 /// A Cholesky factor `L` with forward/back substitution solvers.
 #[derive(Clone, Debug)]
 pub struct Cholesky {
-    l: Matrix,
+    /// `Lᵀ`: upper triangular, row `k` is column `k` of `L`.
+    lt: Matrix,
 }
 
 impl Cholesky {
+    /// The lower-triangular factor `L` (exact zeros above the diagonal).
+    #[cfg(test)]
+    pub(crate) fn lower(&self) -> Matrix {
+        let n = self.lt.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                l[(i, j)] = self.lt[(j, i)];
+            }
+        }
+        l
+    }
+
     /// Solves `A x = b` where `A = L Lᵀ`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.l.rows();
+        let n = self.lt.rows();
         assert_eq!(b.len(), n);
-        // Forward: L y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+        // Forward: L y = b, column by column. Each `y_i` still subtracts
+        // `l_ik · y_k` for k = 0, 1, …, i-1 in order before its division.
+        let mut y = b.to_vec();
+        for k in 0..n {
+            let lk = self.lt.row(k);
+            let y_k = y[k] / lk[k];
+            y[k] = y_k;
+            for (y_i, &l_ik) in y[k + 1..].iter_mut().zip(&lk[k + 1..]) {
+                *y_i -= l_ik * y_k;
             }
-            y[i] = sum / self.l[(i, i)];
         }
         // Back: Lᵀ x = y
         let mut x = vec![0.0; n];
         for i in (0..n).rev() {
+            let li = self.lt.row(i);
             let mut sum = y[i];
             for k in i + 1..n {
-                sum -= self.l[(k, i)] * x[k];
+                sum -= li[k] * x[k];
             }
-            x[i] = sum / self.l[(i, i)];
+            x[i] = sum / li[i];
         }
         x
     }
 
     /// Solves `A X = B` column by column.
     pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
-        let n = self.l.rows();
+        let n = self.lt.rows();
         assert_eq!(b.rows(), n);
         let mut out = Matrix::zeros(n, b.cols());
         for c in 0..b.cols() {
@@ -328,6 +391,41 @@ mod tests {
     fn cholesky_rejects_nonsquare() {
         let a = Matrix::zeros(2, 3);
         assert_eq!(a.cholesky().unwrap_err(), LinalgError::ShapeMismatch);
+    }
+
+    #[test]
+    fn cholesky_reads_only_the_lower_triangle_and_zeroes_the_upper() {
+        // The factorization's contract: entries above A's diagonal are
+        // never read, and L has exact +0.0 above its diagonal.
+        let mut rng = hetflow_sim::SimRng::from_seed(17);
+        let n = 9;
+        let rows: Vec<Vec<f64>> =
+            (0..n + 3).map(|_| (0..n).map(|_| rng.standard_normal()).collect()).collect();
+        let mut a = Matrix::from_rows(&rows).gram();
+        a.add_diag(0.5);
+        let mut garbage = a.clone();
+        for i in 0..n {
+            for j in i + 1..n {
+                garbage[(i, j)] = [f64::NAN, 1e300, -7.0, f64::NEG_INFINITY][(i + j) % 4];
+            }
+        }
+        let clean = a.cholesky().unwrap();
+        let b: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
+        for dirty in [garbage.cholesky().unwrap(), garbage.into_cholesky().unwrap()] {
+            let (lc, ld) = (clean.lower(), dirty.lower());
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(ld[(i, j)].to_bits(), lc[(i, j)].to_bits(), "L[{i}][{j}]");
+                    if j > i {
+                        assert_eq!(ld[(i, j)].to_bits(), 0.0f64.to_bits(), "L[{i}][{j}]");
+                    } else {
+                        assert!(ld[(i, j)].is_finite());
+                    }
+                }
+            }
+            let (xc, xd) = (clean.solve(&b), dirty.solve(&b));
+            assert!(xc.iter().zip(&xd).all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
     }
 
     #[test]

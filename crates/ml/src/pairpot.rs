@@ -14,6 +14,7 @@
 use crate::linalg::{LinalgError, Matrix};
 use crate::ridge::Ridge;
 use hetflow_chem::{EnergyModel, Structure, Vec3};
+use std::borrow::Borrow;
 
 /// Gaussian radial basis on pair distances.
 #[derive(Clone, Debug)]
@@ -43,20 +44,13 @@ impl RadialBasis {
         self.centers.len()
     }
 
-    /// `φ_k(r)` for all k.
-    fn values(&self, r: f64, out: &mut [f64]) {
-        for (o, &c) in out.iter_mut().zip(&self.centers) {
-            let d = r - c;
-            *o = (-d * d * self.inv_two_w2).exp();
-        }
-    }
-
-    /// `dφ_k/dr` for all k.
-    fn derivs(&self, r: f64, out: &mut [f64]) {
-        for (o, &c) in out.iter_mut().zip(&self.centers) {
-            let d = r - c;
-            *o = -(d / (self.width * self.width)) * (-d * d * self.inv_two_w2).exp();
-        }
+    /// `φ_k(r)` and `dφ_k/dr` for the centre `c` at `r`, from one `exp`:
+    /// the derivative's `exp` had the identical argument, so sharing it
+    /// keeps both values' bits.
+    fn phi(&self, r: f64, c: f64) -> (f64, f64) {
+        let d = r - c;
+        let e = (-d * d * self.inv_two_w2).exp();
+        (e, -(d / (self.width * self.width)) * e)
     }
 }
 
@@ -110,55 +104,64 @@ pub struct PairPotential {
 
 impl PairPotential {
     /// Fits on labelled structures (energies always; forces where
-    /// present) with the given weights.
-    pub fn fit(
-        data: &[LabelledStructure],
+    /// present) with the given weights. `data` may hold the structures or
+    /// references to them, so a bagged subset need not be cloned.
+    pub fn fit<L: Borrow<LabelledStructure>>(
+        data: &[L],
         basis: RadialBasis,
         params: PairPotParams,
     ) -> Result<PairPotential, LinalgError> {
         assert!(!data.is_empty(), "cannot fit on empty data");
         let k = basis.dim();
-        let mut rows: Vec<Vec<f64>> = Vec::new();
+        // Design matrix, row-major: one energy row per structure, then
+        // three force rows per atom where forces are labelled.
+        let mut rows: Vec<f64> = Vec::new();
         let mut targets: Vec<f64> = Vec::new();
-        let mut phi = vec![0.0; k];
+        let mut dphi = vec![0.0; k];
+        let mut erow = vec![0.0; k];
+        let mut frows: Vec<f64> = Vec::new();
         let ew = params.energy_weight.sqrt();
         let fw = params.force_weight.sqrt();
         for ls in data {
-            // Energy row: Σ_pairs φ_k(r).
-            let mut erow = vec![0.0; k];
-            for (_, _, _, r) in ls.structure.pairs() {
-                basis.values(r, &mut phi);
-                for (e, p) in erow.iter_mut().zip(&phi) {
+            let ls = ls.borrow();
+            let forces = ls.forces.as_deref();
+            erow.fill(0.0);
+            frows.clear();
+            if forces.is_some() {
+                frows.resize(ls.structure.n_atoms() * 3 * k, 0.0);
+            }
+            for (i, j, dvec, r) in ls.structure.pairs() {
+                // Energy row: Σ_pairs φ_k(r); φ'_k only where forces are
+                // labelled.
+                if forces.is_none() {
+                    for (e, &c) in erow.iter_mut().zip(&basis.centers) {
+                        *e += basis.phi(r, c).0;
+                    }
+                    continue;
+                }
+                for ((e, dp), &c) in erow.iter_mut().zip(&mut dphi).zip(&basis.centers) {
+                    let (p, p_prime) = basis.phi(r, c);
                     *e += p;
+                    *dp = p_prime;
+                }
+                // Force rows: F_{iα} = -Σ_j φ'_k(r_ij) (x_iα - x_jα)/r_ij.
+                for alpha in 0..3 {
+                    let u = dvec[alpha] / r;
+                    for (kk, dp) in dphi.iter().enumerate() {
+                        let contrib = -dp * u;
+                        frows[(i * 3 + alpha) * k + kk] += contrib;
+                        frows[(j * 3 + alpha) * k + kk] -= contrib;
+                    }
                 }
             }
-            rows.push(erow.iter().map(|v| v * ew).collect());
+            rows.extend(erow.iter().map(|v| v * ew));
             targets.push(ls.energy * ew);
-
-            // Force rows: F_{iα} = -Σ_j φ'_k(r_ij) (x_iα - x_jα)/r_ij.
-            if let Some(forces) = &ls.forces {
-                let n = ls.structure.n_atoms();
-                let mut frows = vec![vec![0.0; k]; n * 3];
-                for (i, j, dvec, r) in ls.structure.pairs() {
-                    basis.derivs(r, &mut phi);
-                    for alpha in 0..3 {
-                        let u = dvec[alpha] / r;
-                        for (kk, dp) in phi.iter().enumerate() {
-                            let contrib = -dp * u;
-                            frows[i * 3 + alpha][kk] += contrib;
-                            frows[j * 3 + alpha][kk] -= contrib;
-                        }
-                    }
-                }
-                for (i, f) in forces.iter().enumerate() {
-                    for alpha in 0..3 {
-                        rows.push(frows[i * 3 + alpha].iter().map(|v| v * fw).collect());
-                        targets.push(f[alpha] * fw);
-                    }
-                }
+            if let Some(forces) = forces {
+                rows.extend(frows[..forces.len() * 3 * k].iter().map(|v| v * fw));
+                targets.extend(forces.iter().flat_map(|f| f.iter().map(|fa| fa * fw)));
             }
         }
-        let x = Matrix::from_rows(&rows);
+        let x = Matrix::from_vec(targets.len(), k, rows);
         // No intercept: forces fix the gauge; an energy offset would be
         // unidentifiable from forces alone.
         let y = Matrix::from_vec(targets.len(), 1, targets);
@@ -168,25 +171,26 @@ impl PairPotential {
 
     /// Weight vector (basis coefficients).
     pub fn weights(&self) -> Vec<f64> {
-        (0..self.basis.dim()).map(|i| self.model.weights()[(i, 0)]).collect()
+        self.coefficients().to_vec()
+    }
+
+    /// The basis coefficients, borrowed (the `k × 1` ridge weights).
+    fn coefficients(&self) -> &[f64] {
+        self.model.weights().as_slice()
     }
 }
 
 impl EnergyModel for PairPotential {
     fn energy_forces(&self, s: &Structure) -> (f64, Vec<Vec3>) {
-        let k = self.basis.dim();
-        let w = self.weights();
-        let mut phi = vec![0.0; k];
+        let w = self.coefficients();
         let mut energy = 0.0;
         let mut forces = vec![[0.0; 3]; s.n_atoms()];
         for (i, j, dvec, r) in s.pairs() {
-            self.basis.values(r, &mut phi);
+            // Energy and dE/dr each keep their own k-order sum.
             let mut de = 0.0;
-            for (p, wk) in phi.iter().zip(&w) {
+            for (&c, wk) in self.basis.centers.iter().zip(w) {
+                let (p, dp) = self.basis.phi(r, c);
                 energy += p * wk;
-            }
-            self.basis.derivs(r, &mut phi);
-            for (dp, wk) in phi.iter().zip(&w) {
                 de += dp * wk;
             }
             let scale = -de / r;
@@ -196,6 +200,19 @@ impl EnergyModel for PairPotential {
             }
         }
         (energy, forces)
+    }
+
+    /// Energy alone: the energy sum of [`PairPotential::energy_forces`]
+    /// in the same order, without the derivative basis or a force `Vec`.
+    fn energy(&self, s: &Structure) -> f64 {
+        let w = self.coefficients();
+        let mut energy = 0.0;
+        for (_, _, _, r) in s.pairs() {
+            for (&c, wk) in self.basis.centers.iter().zip(w) {
+                energy += self.basis.phi(r, c).0 * wk;
+            }
+        }
+        energy
     }
 }
 
@@ -385,7 +402,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty data")]
     fn empty_fit_panics() {
-        let _ = PairPotential::fit(
+        let _ = PairPotential::fit::<LabelledStructure>(
             &[],
             RadialBasis::default_for_clusters(),
             PairPotParams::default(),

@@ -56,7 +56,7 @@ impl Ridge {
         // lambda = 0 with collinear features.
         gram.add_diag(lambda.max(1e-10));
         let xty = xc.t_matmul(&yc);
-        let weights = gram.cholesky()?.solve_matrix(&xty);
+        let weights = gram.into_cholesky()?.solve_matrix(&xty);
         // intercept_c = ȳ_c − w_c · x̄
         let intercepts: Vec<f64> = (0..k)
             .map(|c| y_means[c] - (0..d).map(|dd| weights[(dd, c)] * x_means[dd]).sum::<f64>())
@@ -83,6 +83,11 @@ impl Ridge {
     /// Predicts the first output (convenience for scalar models).
     pub fn predict_scalar(&self, x: &[f64]) -> f64 {
         self.predict(x)[0]
+    }
+
+    /// The fitted intercept of output `c`.
+    pub fn intercept(&self, c: usize) -> f64 {
+        self.intercepts[c]
     }
 
     /// The raw weight matrix (`d × k`).

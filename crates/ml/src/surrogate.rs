@@ -6,7 +6,7 @@
 //! active-learning campaign with repeated retraining is cheap to
 //! simulate while the *learning dynamics* stay real.
 
-use crate::features::RandomFourierFeatures;
+use crate::features::{RandomFourierFeatures, RFF_BLOCK};
 use crate::linalg::LinalgError;
 use crate::ridge::Ridge;
 use hetflow_sim::SimRng;
@@ -53,14 +53,60 @@ impl RffRidge {
         Ok(RffRidge { rff, model })
     }
 
-    /// Predicts the property of one input.
+    /// Predicts the property of one input: the blocked kernel on a block
+    /// of one row, [`RFF_BLOCK`] features per pass.
     pub fn predict(&self, input: &[f64]) -> f64 {
-        self.model.predict_scalar(&self.rff.transform(input))
+        assert_eq!(input.len(), self.rff.d_in(), "feature dim mismatch");
+        let (xt, _) = input.as_chunks::<1>();
+        self.score_block::<1, RFF_BLOCK>(xt)[0]
     }
 
-    /// Predicts a batch.
-    pub fn predict_batch(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        inputs.iter().map(|x| self.predict(x)).collect()
+    /// Predicts every row of `xs` (`n × d_in`, row-major) and appends the
+    /// `n` predictions to `out`. Bit-identical to calling
+    /// [`RffRidge::predict`] row by row; rows are scored [`RFF_BLOCK`] at a
+    /// time through one scratch block, so the cost per row drops without
+    /// a copy of `xs`. A short last block is scored at full width and its
+    /// unused lanes are dropped.
+    pub fn predict_many(&self, xs: &[f64], out: &mut Vec<f64>) {
+        let d_in = self.rff.d_in();
+        assert_eq!(xs.len() % d_in, 0, "feature dim mismatch");
+        out.reserve(xs.len() / d_in);
+        let mut xt = vec![[0.0; RFF_BLOCK]; d_in];
+        for rows in xs.chunks(d_in * RFF_BLOCK) {
+            for (k, x) in rows.chunks_exact(d_in).enumerate() {
+                for (x_j, &v) in xt.iter_mut().zip(x) {
+                    x_j[k] = v;
+                }
+            }
+            out.extend_from_slice(&self.score_block::<RFF_BLOCK, 1>(&xt)[..rows.len() / d_in]);
+        }
+    }
+
+    /// Scores the `NB` rows of a feature-major block `xt`, `NF` features
+    /// per pass (see `RandomFourierFeatures::features_of_block`). Each
+    /// prediction is `intercept + Σ_i z_i · β_i`, summed in feature order
+    /// from `-0.0` as [`Ridge::predict`] does.
+    fn score_block<const NB: usize, const NF: usize>(&self, xt: &[[f64; NB]]) -> [f64; NB] {
+        let mut acc = [-0.0; NB];
+        let mut z = [[0.0; NB]; NF];
+        let beta = self.model.weights().as_slice();
+        for (c, beta_c) in beta.chunks(NF).enumerate() {
+            let z = self.rff.features_of_block(c * NF, xt, &mut z);
+            for (z_i, &beta_i) in z.iter().zip(beta_c) {
+                for (a, &zk) in acc.iter_mut().zip(z_i) {
+                    *a += zk * beta_i;
+                }
+            }
+        }
+        let intercept = self.model.intercept(0);
+        acc.map(|a| intercept + a)
+    }
+
+    /// The feature map and the ridge model, for the scalar reference
+    /// kernels in the tests.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&RandomFourierFeatures, &Ridge) {
+        (&self.rff, &self.model)
     }
 }
 
